@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
+.PHONY: ci vet lint build test race perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
 
-ci: vet lint build race bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
+ci: vet lint build race perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is a module of its own, so the root ./... never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # One-iteration smoke run: catches a broken hot path without paying for a
 # full measurement; real numbers go to BENCH_hotpath.json via bench-hotpath.

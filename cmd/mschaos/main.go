@@ -102,8 +102,8 @@ func main() {
 			continue
 		}
 		for _, rec := range res.Recoveries {
-			fmt.Printf("  recovery epoch=%d haus=%d reload=%s diskio=%s deserialize=%s reconnect=%s total=%s\n",
-				rec.Epoch, rec.HAUs, rec.Reload, rec.DiskIO, rec.Deserialize, rec.Reconnect, rec.Total)
+			fmt.Printf("  recovery epoch=%d haus=%d reload=%s diskio=%s deserialize=%s reconnect=%s total=%s replay=%s\n",
+				rec.Epoch, rec.HAUs, rec.Reload, rec.DiskIO, rec.Deserialize, rec.Reconnect, rec.Total, rec.ReplayFetch)
 		}
 		for _, rs := range res.RescaleList {
 			fmt.Printf("  rescale %s %d->%d bytes=%d drain=%s reshard=%s restore=%s downtime=%s\n",

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"meteorshower/internal/storage"
@@ -73,7 +74,6 @@ func (l *SourceLog) Flush() error {
 		return nil
 	}
 	batch := l.pending
-	bytes := l.pendingB
 	epoch := l.epoch
 	seq := l.segSeq
 	l.segSeq++
@@ -83,11 +83,12 @@ func (l *SourceLog) Flush() error {
 
 	key := fmt.Sprintf("preserve/%s/%016d/%08d", l.src, epoch, seq)
 	if l.store != nil {
-		if _, err := l.store.Put(key, tuple.MarshalMany(batch)); err != nil {
+		// MarshalMany's buffer is fresh and never touched again: hand it
+		// over instead of letting Put copy it.
+		if _, err := l.store.PutOwned(key, tuple.MarshalMany(batch)); err != nil {
 			return fmt.Errorf("sourcelog %s: %w", l.src, err)
 		}
 	}
-	_ = bytes
 	l.mu.Lock()
 	l.segments[epoch] = append(l.segments[epoch], batch...)
 	l.mu.Unlock()
@@ -148,11 +149,7 @@ func (l *SourceLog) ReplaySince(since uint64) ([]*tuple.Tuple, error) {
 	}
 	// Epoch numbers are strictly increasing over time, so sorting them
 	// recovers preservation order.
-	for i := 1; i < len(epochs); i++ {
-		for j := i; j > 0 && epochs[j] < epochs[j-1]; j-- {
-			epochs[j], epochs[j-1] = epochs[j-1], epochs[j]
-		}
-	}
+	slices.Sort(epochs)
 	var out []*tuple.Tuple
 	var bytes int64
 	for _, e := range epochs {

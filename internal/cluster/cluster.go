@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
 	"meteorshower/internal/tenant"
+	"meteorshower/internal/tuple"
 )
 
 // AppSpec describes a stream application independent of the fault-tolerance
@@ -101,8 +103,8 @@ type Config struct {
 	ShedWatermark float64
 
 	// RestoreWorkers bounds how many HAUs are rebuilt concurrently during
-	// whole-application recovery (spe.New + state deserialization). 0 or 1
-	// restores sequentially — the historical behaviour. Operator
+	// whole-application recovery (spe.New + state deserialization). 0 or
+	// less means runtime.GOMAXPROCS(0); 1 restores sequentially. Operator
 	// construction and edge wiring stay under the cluster lock regardless.
 	RestoreWorkers int
 
@@ -1215,7 +1217,7 @@ epochs:
 		// not a per-HAU sum.
 		workers := cl.cfg.RestoreWorkers
 		if workers <= 0 {
-			workers = 1
+			workers = runtime.GOMAXPROCS(0)
 		}
 		cfgs := make([]spe.Config, len(ids))
 		var reload time.Duration
@@ -1286,18 +1288,39 @@ epochs:
 	cl.mu.Unlock()
 
 	// Source replay: re-feed everything preserved since the MRC. Counted
-	// separately — the paper's recovery time stops before replay.
+	// separately — the paper's recovery time stops before replay. Each
+	// fetch flushes and reads the source's log on the shared store, so the
+	// sources fetch concurrently, off the cluster lock, across the store's
+	// stripes; the new HAUs are not running yet, so nothing else reads
+	// their replay.
 	replayStart := time.Now()
+	type replay struct {
+		id  string
+		log *buffer.SourceLog
+		ts  []*tuple.Tuple
+		err error
+	}
 	cl.mu.Lock()
+	replays := make([]replay, 0, len(a.sourceLogs))
 	for id, log := range a.sourceLogs {
-		ts, err := log.ReplaySince(mrc)
-		if err != nil {
-			cl.mu.Unlock()
-			return stats, err
-		}
-		newHAUs[id].SetSourceReplay(ts)
+		replays = append(replays, replay{id: id, log: log})
 	}
 	cl.mu.Unlock()
+	var fetches sync.WaitGroup
+	for i := range replays {
+		fetches.Add(1)
+		go func(r *replay) {
+			defer fetches.Done()
+			r.ts, r.err = r.log.ReplaySince(mrc)
+		}(&replays[i])
+	}
+	fetches.Wait()
+	for _, r := range replays {
+		if r.err != nil {
+			return stats, r.err
+		}
+		newHAUs[r.id].SetSourceReplay(r.ts)
+	}
 	stats.ReplayFetch = time.Since(replayStart)
 
 	// Phase 4: reconnect — swap the live map and start everything.
@@ -1341,6 +1364,7 @@ epochs:
 			DiskIO:      stats.DiskIO,
 			Deserialize: stats.Deserialize,
 			Reconnect:   stats.Reconnect,
+			ReplayFetch: stats.ReplayFetch,
 			Total:       stats.Total(),
 		})
 	}

@@ -113,7 +113,8 @@ func (g opGuard) quiesce(ctx context.Context) (uint64, error) {
 }
 
 // drainBlob waits for incarnation id to hand its state blob over on reply
-// after a token-barrier drain (CmdMigrateSnap / CmdStandbySnap). The
+// after a token-barrier drain (CmdMigrateSnap / CmdStandbySnap), or to
+// acknowledge a CmdAddInPort once its old input ports have drained. The
 // incarnation may reply and exit in the same instant — Done and the
 // buffered reply can both be ready, and select picks arbitrarily — so the
 // blob is preferred whenever it was handed over. deadline is shared by

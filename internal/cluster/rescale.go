@@ -641,24 +641,25 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 	// Close the old rows feeding each downstream (their senders have
 	// exited) and install the new rows. The hangup is what releases each
 	// downstream's CmdAddInPort barrier.
-	type attachSet struct {
-		h    *spe.HAU
-		cmds []spe.Command
+	type attach struct {
+		dinc  string
+		h     *spe.HAU
+		cmd   spe.Command
+		reply chan []byte
 	}
-	var attaches []attachSet
+	var attaches []attach
 	for _, dr := range rows {
 		for _, e := range cl.inEdges[dr.dinc][dr.port] {
 			e.Close()
 		}
 		cl.inEdges[dr.dinc][dr.port] = dr.row
 		if dh := cl.haus[dr.dinc]; dh != nil {
-			cmds := make([]spe.Command, 0, n)
 			for _, e := range dr.row {
-				cmds = append(cmds, spe.Command{
-					Kind: spe.CmdAddInPort, Edge: e, Logical: dr.port, AfterFrom: oldIncs,
-				})
+				reply := make(chan []byte, 1)
+				attaches = append(attaches, attach{dr.dinc, dh, spe.Command{
+					Kind: spe.CmdAddInPort, Edge: e, Logical: dr.port, AfterFrom: oldIncs, Reply: reply,
+				}, reply})
 			}
-			attaches = append(attaches, attachSet{dh, cmds})
 		}
 	}
 	if n == 1 {
@@ -691,9 +692,7 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 	cl.installControllerHAUs()
 	cl.mu.Unlock()
 	for _, a := range attaches {
-		for _, cmd := range a.cmds {
-			a.h.Command(cmd)
-		}
+		a.h.Command(a.cmd)
 	}
 	stats.Restore = time.Since(restoreStart)
 	stats.Downtime = time.Since(downStart)
@@ -701,6 +700,17 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 
 	// Phase 6: commit epoch. The first complete checkpoint under the new
 	// membership; journal it so recovery rebuilds the matching topology.
+	// Trigger it only once every downstream has attached the new ports: a
+	// downstream still draining the old incarnations' backlog would cut
+	// the epoch on their hang-ups alone, ahead of the new incarnations'
+	// pre-token output, with a blob naming only the old ports (after a
+	// merge, the stale pre-split port carries the reused base id).
+	attachDeadline := time.After(drainTimeout)
+	for _, a := range attaches {
+		if _, err := grd.drainBlob(ctx, a.dinc, a.h, a.reply, attachDeadline); err != nil {
+			return stats, fmt.Errorf("commit epoch: %w", err)
+		}
+	}
 	commitEp, err := grd.quiesce(ctx)
 	if err != nil {
 		// The new geometry is live but has no durable epoch: a recovery

@@ -131,6 +131,10 @@ func (e *EpochStat) WallTime() time.Duration {
 type Controller struct {
 	cfg Config
 
+	// trigMu serializes TriggerCheckpoint from epoch allocation through
+	// the broadcast, so every HAU receives checkpoint commands in epoch
+	// order. Taken before mu; never held under a cluster lock.
+	trigMu     sync.Mutex
 	mu         sync.Mutex
 	haus       map[string]*spe.HAU
 	epoch      uint64
@@ -290,8 +294,12 @@ func (c *Controller) CheckpointsPaused() bool {
 // returns its number. MS-src sends the command to source HAUs, which
 // checkpoint and trickle cascading tokens; MS-src+ap(+aa) broadcasts 1-hop
 // token commands to every HAU (§III-B, Fig. 7: "the controller sends a
-// token command to every HAU simultaneously").
+// token command to every HAU simultaneously"). Concurrent triggers
+// broadcast in the order they allocate epochs: an HAU handed epoch N+1
+// before N skips N as stale, and N can never complete.
 func (c *Controller) TriggerCheckpoint() uint64 {
+	c.trigMu.Lock()
+	defer c.trigMu.Unlock()
 	c.mu.Lock()
 	c.epoch++
 	ep := c.epoch

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"meteorshower/internal/buffer"
+	"meteorshower/internal/operator"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/statesize"
 	"meteorshower/internal/storage"
@@ -313,5 +314,89 @@ func TestEpochStatsSnapshot(t *testing.T) {
 	st, _ := c.Stat(ep)
 	if st.Breakdown["a"].DiskIO == 99 {
 		t.Fatal("EpochStats returned shared state")
+	}
+}
+
+// orderListener records the epochs each HAU checkpoints, in order, and
+// forwards every event to the controller.
+type orderListener struct {
+	c  *Controller
+	mu sync.Mutex
+	by map[string][]uint64
+}
+
+func (l *orderListener) CheckpointDone(hau string, epoch uint64, b spe.CheckpointBreakdown) {
+	l.mu.Lock()
+	l.by[hau] = append(l.by[hau], epoch)
+	l.mu.Unlock()
+	l.c.CheckpointDone(hau, epoch, b)
+}
+func (l *orderListener) TurningPoint(string, int64, int64, float64, bool) {}
+func (l *orderListener) Stopped(string, error)                            {}
+
+// TestConcurrentTriggersBroadcastInOrder fires checkpoint triggers from two
+// goroutines at once at a set of source HAUs, which checkpoint on the
+// command alone. Every HAU must see every epoch, in ascending order: one
+// handed N+1 before N skips N as stale, and N never completes.
+func TestConcurrentTriggersBroadcastInOrder(t *testing.T) {
+	const nHAU, perTrigger = 8, 40
+	ids := make([]string, nHAU)
+	for i := range ids {
+		ids[i] = string(rune('a' + i))
+	}
+	cat := storage.NewCatalog(fastStore(), ids)
+	c := New(Config{Scheme: spe.MSSrcAP, Catalog: cat})
+	lis := &orderListener{c: c, by: make(map[string][]uint64)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	haus := make(map[string]*spe.HAU, nHAU)
+	for _, id := range ids {
+		h, err := spe.New(spe.Config{
+			ID: id, Scheme: spe.MSSrcAP, Catalog: cat, Listener: lis, TickEvery: time.Millisecond,
+			Ops: []operator.Operator{operator.NewRateSource(id, 0, 1, operator.BytePayload(4, 2))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		haus[id] = h
+		h.Start(ctx)
+	}
+	c.SetHAUs(haus)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perTrigger; i++ {
+				c.TriggerCheckpoint()
+			}
+		}()
+	}
+	wg.Wait()
+	const last = 2 * perTrigger
+	deadline := time.Now().Add(5 * time.Second)
+	for st, _ := c.Stat(last); !st.Complete && time.Now().Before(deadline); st, _ = c.Stat(last) {
+		time.Sleep(time.Millisecond)
+	}
+	for ep := uint64(1); ep <= last; ep++ {
+		if st, ok := c.Stat(ep); !ok || !st.Complete {
+			t.Errorf("epoch %d never completed", ep)
+		}
+	}
+	lis.mu.Lock()
+	defer lis.mu.Unlock()
+	for _, id := range ids {
+		got := lis.by[id]
+		if len(got) != last {
+			t.Errorf("HAU %s checkpointed %d of %d epochs: %v", id, len(got), last, got)
+			continue
+		}
+		for i, ep := range got {
+			if ep != uint64(i+1) {
+				t.Errorf("HAU %s saw epochs out of order: %v", id, got)
+				break
+			}
+		}
 	}
 }

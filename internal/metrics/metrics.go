@@ -30,6 +30,7 @@ type Recovery struct {
 	DiskIO      time.Duration
 	Deserialize time.Duration
 	Reconnect   time.Duration
+	ReplayFetch time.Duration // source-log fetch; not part of Total (Fig. 16 stops before replay)
 	Total       time.Duration
 }
 

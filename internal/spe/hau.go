@@ -1342,12 +1342,16 @@ func splicePres(s [][]*tuple.Tuple, base, n, m int) [][]*tuple.Tuple {
 // tryAttach attaches queued input ports whose ordering barrier is met:
 // every existing port fed by an upstream named in AfterFrom has closed.
 // This serializes the old incarnation's stream strictly before the replica
-// streams that replace it.
+// streams that replace it. Each attach is acknowledged on the command's
+// Reply, if any.
 func (h *HAU) tryAttach(ctx context.Context) {
 	kept := h.attachQ[:0]
 	for _, cmd := range h.attachQ {
 		if h.afterClosed(cmd.AfterFrom) {
 			h.attachInPort(ctx, cmd.Edge, cmd.Logical)
+			if cmd.Reply != nil {
+				cmd.Reply <- nil
+			}
 		} else {
 			kept = append(kept, cmd)
 		}

@@ -118,7 +118,8 @@ const (
 	// downstream side of a rescale, where replica output edges replace the
 	// old incarnation's edge. The attach is deferred until every existing
 	// input port whose upstream is named in AfterFrom has closed,
-	// preserving per-source FIFO order across the old->new handover.
+	// preserving per-source FIFO order across the old->new handover. A
+	// non-nil Reply receives nil once the port is attached.
 	CmdAddInPort
 	// CmdTeeOut installs a mirror edge on one (single-edge) output port:
 	// the pending batch is flushed to the main edge, a migration token is
@@ -155,9 +156,12 @@ const (
 type Command struct {
 	Kind  CommandKind
 	Epoch uint64
-	Port  int           // CmdSwapOutEdge, CmdReplayOutput, CmdMigrateOut, CmdRescaleOut
-	Edge  *Edge         // CmdSwapOutEdge, CmdMigrateOut, CmdAddInPort
-	Reply chan<- []byte // CmdMigrateSnap; must be buffered (capacity >= 1)
+	Port  int   // CmdSwapOutEdge, CmdReplayOutput, CmdMigrateOut, CmdRescaleOut
+	Edge  *Edge // CmdSwapOutEdge, CmdMigrateOut, CmdAddInPort
+	// Reply must be buffered (capacity >= 1). CmdMigrateSnap and
+	// CmdStandbySnap send the state blob; CmdAddInPort sends nil once the
+	// port is attached.
+	Reply chan<- []byte
 
 	Edges     []*Edge // CmdRescaleOut: new edge set, replica order
 	Router    KeyRouter
