@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
+.PHONY: ci vet lint build test race flake perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
 
 ci: vet lint build race perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
 
@@ -24,6 +24,30 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt, not part of ci: FLAKE_N runs of the chaos and cluster suites
+# under each of GOMAXPROCS=1, 2 and 8, with and without the race detector.
+# Prints the pass count per setting and the failing tests of any failed
+# run; exits 1 if any run failed. GOMAXPROCS=1 serializes the HAU loops,
+# so interleavings differ most there.
+FLAKE_N ?= 3
+flake:
+	@fail=0; \
+	for procs in 1 2 8; do \
+		for race in "" -race; do \
+			pass=0; \
+			for i in $$(seq $(FLAKE_N)); do \
+				if out=$$(GOMAXPROCS=$$procs $(GO) test $$race -count=1 ./internal/chaos ./internal/cluster 2>&1); then \
+					pass=$$((pass+1)); \
+				else \
+					fail=1; \
+					echo "$$out" | grep -E '^(--- FAIL|FAIL|panic)'; \
+				fi; \
+			done; \
+			echo "flake: GOMAXPROCS=$$procs $${race:-(no race)}: $$pass/$(FLAKE_N) passed"; \
+		done; \
+	done; \
+	exit $$fail
 
 # perfbench is a module of its own, so the root ./... never reaches it.
 perfbench-test:

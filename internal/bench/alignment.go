@@ -6,7 +6,7 @@ package bench
 // scheme the tokens are ordinary FIFO items, so completion waits for the
 // whole backlog to be processed (and the first-tokened ports stall while
 // it is); under the unaligned scheme the HAU snapshots at the arm instant
-// and its forwarders overtake the backlog, logging what they pass, so
+// and reads its unsealed ports ahead, logging what it passes, so
 // completion is decoupled from consumer progress. Results regenerate
 // BENCH_unaligned.json via cmd/msalign.
 

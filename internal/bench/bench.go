@@ -226,7 +226,17 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 		base := r.sys.Cluster().ProcessedTotal()
 		r.col.Reset()
 		start := time.Now()
-		sleepCtx(ctx, p.Window)
+		if p.Quick && nCkpts > 0 && scheme.UsesTokens() && !scheme.ApplicationAware() {
+			// A quick cell of a periodic token scheme ends once a window's
+			// worth of epochs completed, not on wall time: one slow epoch
+			// under load would otherwise leave none complete. The deadline
+			// bounds a stuck controller. The baseline has no controller
+			// epochs, and the application-aware scheme picks its own
+			// instants, so both keep the wall-clock window.
+			waitUntil(quickDeadline*p.Window, func() bool { return completedEpochs(r.sys) >= nCkpts })
+		} else {
+			sleepCtx(ctx, p.Window)
+		}
 		processed := r.sys.Cluster().ProcessedTotal() - base
 		totalProcessed += processed
 		tputs = append(tputs, float64(processed)/float64(time.Since(start).Milliseconds()))
@@ -234,12 +244,7 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 		p99s = append(p99s, r.col.Quantile(0.99))
 	}
 
-	completed := 0
-	for _, st := range r.sys.Controller().EpochStats() {
-		if st.Complete {
-			completed++
-		}
-	}
+	completed := completedEpochs(r.sys)
 	return Cell{
 		App:         kind.String(),
 		Scheme:      scheme.String(),
@@ -250,6 +255,20 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 		P99Lat:      medianD(p99s),
 		Epochs:      completed,
 	}, nil
+}
+
+// quickDeadline bounds a quick cell's epoch wait, in windows.
+const quickDeadline = 20
+
+// completedEpochs counts the checkpoint epochs the controller completed.
+func completedEpochs(sys *core.System) int {
+	n := 0
+	for _, st := range sys.Controller().EpochStats() {
+		if st.Complete {
+			n++
+		}
+	}
+	return n
 }
 
 func medianF(v []float64) float64 {

@@ -12,8 +12,7 @@ import (
 // share emitted payloads (copy-on-retain), and the encoded log goes into a
 // blob section instead of a spill file.
 //
-// A capture is owned by the HAU loop and is not safe for concurrent use;
-// forwarder-side logs are handed over wholesale via Absorb.
+// A capture is owned by the HAU loop and is not safe for concurrent use.
 type ChannelCapture struct {
 	epoch uint64
 	ports [][]*tuple.Tuple
@@ -33,18 +32,6 @@ func (c *ChannelCapture) Epoch() uint64 { return c.epoch }
 func (c *ChannelCapture) Log(port int, t *tuple.Tuple) {
 	c.ports[port] = append(c.ports[port], t.Retain())
 	c.bytes += int64(t.MarshalledSize())
-}
-
-// Absorb appends ts to port's log, taking ownership of the headers — the
-// seal handoff from a forwarder that overtook the edge backlog.
-func (c *ChannelCapture) Absorb(port int, ts []*tuple.Tuple) {
-	if len(ts) == 0 {
-		return
-	}
-	c.ports[port] = append(c.ports[port], ts...)
-	for _, t := range ts {
-		c.bytes += int64(t.MarshalledSize())
-	}
 }
 
 // Bytes returns the encoded size of all logged tuples so far.

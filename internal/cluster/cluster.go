@@ -576,6 +576,23 @@ func (cl *Cluster) NodeOf(id string) int {
 	return cl.hauNode[id]
 }
 
+// reviveIfAllDeadLocked models replacement nodes when every node failed:
+// the paper restarts HAUs "on other healthy nodes", so the old ones come
+// back. Retired slots stay retired: they left the fleet by scale-in, not by
+// failure, and AddNode is the only way back. Held lock: cl.mu.
+func (cl *Cluster) reviveIfAllDeadLocked() {
+	for _, n := range cl.nodes {
+		if n.alive.Load() && !n.retired.Load() {
+			return
+		}
+	}
+	for _, n := range cl.nodes {
+		if !n.retired.Load() {
+			n.alive.Store(true)
+		}
+	}
+}
+
 // firstHealthyLocked returns the lowest-index schedulable node, falling
 // back to any alive non-retired node (a draining one beats losing the
 // HAU), then to any alive node at all; -1 when everything is dead. Held
@@ -1126,24 +1143,6 @@ func (cl *Cluster) recoverApp(ctx context.Context, a *appState) (RecoveryStats, 
 	cl.mu.Lock()
 	cl.gen++ // invalidate in-flight fleet ops (drains)
 	a.gen++  // invalidate this app's in-flight migrations and rescales
-	anyAlive := false
-	for _, n := range cl.nodes {
-		if n.alive.Load() && !n.retired.Load() {
-			anyAlive = true
-			break
-		}
-	}
-	if !anyAlive {
-		// Everything failed: the paper restarts HAUs "on other healthy
-		// nodes" — model replacement nodes by reviving the old ones.
-		// Retired slots stay retired: they left the fleet by scale-in,
-		// not by failure, and AddNode is the only way back.
-		for _, n := range cl.nodes {
-			if !n.retired.Load() {
-				n.alive.Store(true)
-			}
-		}
-	}
 	g := a.graph
 	cl.mu.Unlock()
 
@@ -1164,6 +1163,10 @@ func (cl *Cluster) recoverApp(ctx context.Context, a *appState) (RecoveryStats, 
 epochs:
 	for _, epoch := range epochs {
 		cl.mu.Lock()
+		// Checked under the lock that places the HAUs: a node killed
+		// while recovery runs could otherwise leave no healthy node to
+		// place on.
+		cl.reviveIfAllDeadLocked()
 		cl.adoptGeometryLocked(a, epoch)
 		ids = cl.incarnationsOfLocked(a)
 		// Re-place incarnations that are on dead nodes or (after adopting an

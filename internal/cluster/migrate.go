@@ -189,7 +189,7 @@ func (cl *Cluster) MigrateHAU(ctx context.Context, id string, dest int) (Migrati
 		return stats, grd.errf("superseded during drain")
 	}
 	if c := cl.cancels[id]; c != nil {
-		c() // release the old incarnation's forwarder goroutines
+		c() // release the old incarnation's context
 	}
 	target := dest
 	if !cl.nodes[target].alive.Load() {

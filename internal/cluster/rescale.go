@@ -631,7 +631,7 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 	}
 	for _, oinc := range oldIncs {
 		if c := cl.cancels[oinc]; c != nil {
-			c() // release the old incarnation's forwarder goroutines
+			c() // release the old incarnation's context
 		}
 		delete(cl.cancels, oinc)
 		delete(cl.haus, oinc)

@@ -149,7 +149,7 @@ func (a *Assignment) Rescale(n int) []int {
 }
 
 // loadShards spreads the per-slot load counters across independent banks so
-// concurrent upstream forwarders routing the same hot slot don't serialize
+// concurrent upstream HAUs routing the same hot slot don't serialize
 // on one atomic word. Must be a power of two (shard pick masks a cheap
 // per-goroutine random draw).
 const loadShards = 8

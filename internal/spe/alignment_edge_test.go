@@ -185,7 +185,7 @@ func TestAlignmentEdgeCases(t *testing.T) {
 				if f.lis.ckptCount() != 0 {
 					t.Fatal("checkpointed before the second input resolved")
 				}
-				close(f.in1.C) // u1 fail-stops mid-alignment
+				f.in1.Close() // u1 fail-stops mid-alignment
 				waitFor(t, 5*time.Second, func() bool { return f.lis.ckptCount() == 1 })
 				cut := f.cutCounts(t, 1)
 				if cut["u0"] != 1 || cut["u1"] != 1 {

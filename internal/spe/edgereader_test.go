@@ -2,6 +2,7 @@ package spe
 
 import (
 	"context"
+	"testing"
 	"time"
 
 	"meteorshower/internal/tuple"
@@ -31,16 +32,11 @@ func (r *edgeReader) pop() *tuple.Tuple {
 // immediately available.
 func (r *edgeReader) tryNext() *tuple.Tuple {
 	for len(r.buf) == 0 {
-		select {
-		case b, ok := <-r.e.C:
-			if !ok {
-				return nil
-			}
-			r.e.queued.Add(-int64(len(b.Tuples)))
-			r.fill(b)
-		default:
+		b, _ := r.e.pop()
+		if b == nil {
 			return nil
 		}
+		r.fill(b)
 	}
 	return r.pop()
 }
@@ -61,4 +57,20 @@ func (r *edgeReader) next(timeout time.Duration) *tuple.Tuple {
 		r.fill(b)
 	}
 	return r.pop()
+}
+
+// discard drains e in the background until the test ends, so an HAU whose
+// output nobody inspects never blocks on a full edge.
+func discard(t *testing.T, e *Edge) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go func() {
+		for {
+			b, ok := e.Recv(ctx)
+			if !ok {
+				return
+			}
+			tuple.PutBatch(b)
+		}
+	}()
 }

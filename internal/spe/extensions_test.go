@@ -19,10 +19,7 @@ func TestDeltaCheckpointWritesLess(t *testing.T) {
 	cat := storage.NewCatalog(store, []string{"H"})
 	in := NewEdge("x", "H", 0)
 	out := NewEdge("H", "drain", 0)
-	go func() {
-		for range out.C {
-		}
-	}()
+	discard(t, out)
 	cnt := operator.NewCounter("c")
 	h, err := New(Config{
 		ID: "H", Scheme: MSSrcAP, Ops: []operator.Operator{cnt},
@@ -90,10 +87,7 @@ func TestDeltaFullEveryForcesFullSaves(t *testing.T) {
 	cat := storage.NewCatalog(store, []string{"H"})
 	in := NewEdge("x", "H", 0)
 	out := NewEdge("H", "drain", 0)
-	go func() {
-		for range out.C {
-		}
-	}()
+	discard(t, out)
 	h, _ := New(Config{
 		ID: "H", Scheme: MSSrcAP, Ops: []operator.Operator{operator.NewCounter("c")},
 		In: []*Edge{in}, Out: []*Edge{out}, Catalog: cat,

@@ -22,28 +22,37 @@ import (
 const DefaultEdgeBuffer = 512
 
 // DefaultBatchSize is how many tuples a sender accumulates before one
-// channel send. Tokens and tick deadlines force earlier flushes, so
+// push onto the edge. Tokens and tick deadlines force earlier flushes, so
 // batching trades at most one tick of latency for an order of magnitude
-// fewer channel operations.
+// fewer hand-offs between HAU loops.
 const DefaultBatchSize = 32
 
 // Edge is a stream between two HAUs. Tuples cross it in micro-batches:
 // the sending HAU appends to a pending batch and flushes it on batch-full,
 // on its tick deadline, when its input side goes idle, or immediately when
-// a token is emitted. The channel carries batch containers; per-edge FIFO
-// order is the append order.
+// a token is emitted. A flushed batch lands in the edge's bounded FIFO ring
+// of batch slots; per-edge order is the append order. The receiver binds a
+// wake channel that every push pokes, so an HAU pops all of its input
+// edges from its own loop with no goroutine in between.
 //
 // Append/Flush/DropPending are owned by the sending HAU's loop. Inject and
 // Recv are safe for concurrent use (tests and external producers).
 type Edge struct {
 	From, To string
-	C        chan *tuple.Batch
 
 	batch    int // max tuples per batch
 	tupleCap int // logical capacity in tuples
 
 	pending *tuple.Batch // sender-side accumulation
 	queued  atomic.Int64 // tuples sent and not yet received
+
+	mu      sync.Mutex
+	ring    []*tuple.Batch // ceil(buf/batch) batch slots
+	head, n int            // oldest slot, occupied slots
+	closed  bool
+	waiters int           // senders blocked on a full ring
+	space   chan struct{} // cap 1: a pop wakes a blocked sender
+	wake    chan struct{} // the receiver's wake channel; nil until bound
 }
 
 // NewEdge returns an edge with the given buffer capacity in tuples
@@ -54,8 +63,8 @@ func NewEdge(from, to string, buf int) *Edge {
 
 // NewEdgeBatch returns an edge with explicit buffer capacity and batch
 // size (0 = defaults). The batch size is clamped to the buffer capacity,
-// and the channel holds ceil(buf/batch) batch slots so a full channel of
-// full batches matches the configured tuple capacity.
+// and the ring holds ceil(buf/batch) batch slots so a full ring of full
+// batches matches the configured tuple capacity.
 func NewEdgeBatch(from, to string, buf, batch int) *Edge {
 	if buf <= 0 {
 		buf = DefaultEdgeBuffer
@@ -69,9 +78,10 @@ func NewEdgeBatch(from, to string, buf, batch int) *Edge {
 	slots := (buf + batch - 1) / batch
 	return &Edge{
 		From: from, To: to,
-		C:        make(chan *tuple.Batch, slots),
 		batch:    batch,
 		tupleCap: buf,
+		ring:     make([]*tuple.Batch, slots),
+		space:    make(chan struct{}, 1),
 	}
 }
 
@@ -103,28 +113,91 @@ func (e *Edge) PendingLen() int {
 }
 
 // Flush sends the pending batch. Returns false only if ctx died while the
-// channel was full; the batch stays pending in that case.
+// ring was full; the batch stays pending in that case.
 func (e *Edge) Flush(ctx context.Context) bool {
 	if e.pending == nil || len(e.pending.Tuples) == 0 {
 		return true
 	}
-	b := e.pending
-	// Count before the send: the channel transfers batch ownership, so the
-	// receiver may recycle b the moment the send completes.
-	n := int64(len(b.Tuples))
-	if ctx == nil {
-		e.pending = nil
-		e.queued.Add(n)
-		e.C <- b
-		return true
-	}
-	select {
-	case e.C <- b:
-		e.pending = nil
-		e.queued.Add(n)
-		return true
-	case <-ctx.Done():
+	if !e.push(ctx, e.pending) {
 		return false
+	}
+	e.pending = nil
+	return true
+}
+
+// push appends b to the ring, blocking while the ring is full, then pokes
+// the receiver's wake channel. Returns false, with b still the caller's, if
+// ctx died first; a nil ctx waits for room indefinitely.
+func (e *Edge) push(ctx context.Context, b *tuple.Batch) bool {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	e.mu.Lock()
+	for e.n == len(e.ring) {
+		e.waiters++
+		e.mu.Unlock()
+		select {
+		case <-e.space:
+		case <-done:
+			e.mu.Lock()
+			e.waiters--
+			e.mu.Unlock()
+			return false
+		}
+		e.mu.Lock()
+		e.waiters--
+	}
+	e.ring[(e.head+e.n)%len(e.ring)] = b
+	e.n++
+	e.queued.Add(int64(len(b.Tuples)))
+	if e.waiters > 0 && e.n < len(e.ring) {
+		// Room is left: pass the wake-up on to the next blocked sender.
+		poke(e.space)
+	}
+	w := e.wake
+	e.mu.Unlock()
+	poke(w)
+	return true
+}
+
+// pop removes the oldest batch without blocking. With the ring empty it
+// returns (nil, closed): the hang-up shows only after every queued batch.
+func (e *Edge) pop() (*tuple.Batch, bool) {
+	e.mu.Lock()
+	if e.n == 0 {
+		closed := e.closed
+		e.mu.Unlock()
+		return nil, closed
+	}
+	b := e.ring[e.head]
+	e.ring[e.head] = nil
+	if e.head++; e.head == len(e.ring) {
+		e.head = 0
+	}
+	e.n--
+	e.queued.Add(-int64(len(b.Tuples)))
+	if e.waiters > 0 {
+		poke(e.space)
+	}
+	e.mu.Unlock()
+	return b, false
+}
+
+// bind makes every later push and Close poke w. One receiver at a time:
+// binding replaces the previous receiver's channel.
+func (e *Edge) bind(w chan struct{}) {
+	e.mu.Lock()
+	e.wake = w
+	e.mu.Unlock()
+}
+
+// poke does a non-blocking send on a cap-1 signal channel; a signal
+// already pending covers this one. A nil channel is a no-op.
+func poke(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
 }
 
@@ -142,51 +215,59 @@ func (e *Edge) DropPending() {
 // A nil ctx blocks until the send completes.
 func (e *Edge) Inject(ctx context.Context, ts ...*tuple.Tuple) bool {
 	b := tuple.BatchOf(ts...)
-	if ctx == nil {
-		e.queued.Add(int64(len(ts)))
-		e.C <- b
-		return true
-	}
-	select {
-	case e.C <- b:
-		e.queued.Add(int64(len(ts)))
-		return true
-	case <-ctx.Done():
+	if !e.push(ctx, b) {
 		tuple.PutBatch(b)
 		return false
 	}
+	return true
 }
 
-// Recv pops one batch, keeping the occupancy count accurate. Returns
-// (nil, false) when the edge is closed or ctx died. Receivers that read
-// e.C directly instead must not rely on Queued.
+// Recv pops one batch, waiting while the ring is empty. Returns
+// (nil, false) once the edge is closed and drained, or when ctx died.
+// It binds the edge's wake-ups to the caller, so it is for edges no HAU
+// reads: tests, and the cluster draining a dead consumer's edge.
 func (e *Edge) Recv(ctx context.Context) (*tuple.Batch, bool) {
-	if ctx == nil {
-		b, ok := <-e.C
-		if ok {
-			e.queued.Add(-int64(len(b.Tuples)))
-		}
-		return b, ok
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	select {
-	case b, ok := <-e.C:
-		if ok {
-			e.queued.Add(-int64(len(b.Tuples)))
+	var wake chan struct{}
+	for {
+		b, closed := e.pop()
+		if b != nil {
+			return b, true
 		}
-		return b, ok
-	case <-ctx.Done():
-		return nil, false
+		if closed {
+			return nil, false
+		}
+		if wake == nil {
+			// Re-check after binding: a push may have landed before it.
+			wake = make(chan struct{}, 1)
+			e.bind(wake)
+			continue
+		}
+		select {
+		case <-wake:
+		case <-done:
+			return nil, false
+		}
 	}
 }
 
-// Close ends the stream: the receiver's forwarder drains the remaining
-// batches and then treats the edge as a permanent upstream hangup (the
-// port counts as aligned forever). Sender-side only, after the final
-// Flush; no Append/Flush/Inject may follow.
-func (e *Edge) Close() { close(e.C) }
+// Close ends the stream: the receiver pops the remaining batches and then
+// treats the edge as a permanent upstream hangup (the port counts as
+// aligned forever). Sender-side only, after the final Flush; no
+// Append/Flush/Inject may follow.
+func (e *Edge) Close() {
+	e.mu.Lock()
+	e.closed = true
+	w := e.wake
+	e.mu.Unlock()
+	poke(w)
+}
 
 // Queued returns the number of tuples sent on the edge and not yet
-// received — the channel occupancy in tuples.
+// received — the ring occupancy in tuples.
 func (e *Edge) Queued() int { return int(e.queued.Load()) }
 
 // Occupancy returns queued plus pending tuples: everything emitted on
@@ -301,108 +382,6 @@ type chanReplayStream struct {
 	ts   []*tuple.Tuple
 }
 
-// inItem is one delivery on the merged input channel: a batch from one
-// input edge, a seal handoff from a forwarder's unaligned-capture drain,
-// or (both nil) a marker that the edge closed.
-type inItem struct {
-	port  int
-	batch *tuple.Batch
-	seal  *portSeal
-}
-
-// portSeal is a forwarder's capture handoff: the data tuples it overtook
-// on its edge between entering drain mode and finding the capture token.
-// It travels on the merged channel, so FIFO order guarantees the loop has
-// already seen (and logged) every tuple the forwarder sent before the
-// drain began.
-type portSeal struct {
-	epoch uint64
-	log   []*tuple.Tuple
-}
-
-// portGate pauses one input edge's forwarder during token alignment, so
-// an aligning port exerts backpressure on exactly that edge while the
-// other inputs keep flowing. For unaligned checkpoints it is never
-// paused; instead it carries the capture arming state that switches the
-// forwarder into drain mode.
-type portGate struct {
-	mu     sync.Mutex
-	paused bool
-	resume chan struct{}
-
-	// Unaligned-capture arming: non-zero capEpoch tells the forwarder to
-	// enter drain mode for that epoch; capCancel is closed when the port
-	// seals (or the capture aborts) so a drain waiting for a token that
-	// already passed in-band exits immediately.
-	capEpoch  uint64
-	capCancel chan struct{}
-}
-
-// arm switches the gate into unaligned-capture mode for epoch.
-func (g *portGate) arm(epoch uint64) {
-	g.mu.Lock()
-	if g.capCancel != nil {
-		close(g.capCancel)
-	}
-	g.capEpoch = epoch
-	g.capCancel = make(chan struct{})
-	g.mu.Unlock()
-}
-
-// disarm ends capture mode, waking any forwarder drain. Idempotent.
-func (g *portGate) disarm() {
-	g.mu.Lock()
-	if g.capCancel != nil {
-		close(g.capCancel)
-		g.capCancel = nil
-	}
-	g.capEpoch = 0
-	g.mu.Unlock()
-}
-
-// capture returns the current arming state.
-func (g *portGate) capture() (uint64, chan struct{}) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.capEpoch, g.capCancel
-}
-
-func (g *portGate) pause() {
-	g.mu.Lock()
-	if !g.paused {
-		g.paused = true
-		g.resume = make(chan struct{})
-	}
-	g.mu.Unlock()
-}
-
-func (g *portGate) unpause() {
-	g.mu.Lock()
-	if g.paused {
-		g.paused = false
-		close(g.resume)
-	}
-	g.mu.Unlock()
-}
-
-// wait blocks while the gate is paused. Returns false if ctx died.
-func (g *portGate) wait(ctx context.Context) bool {
-	for {
-		g.mu.Lock()
-		if !g.paused {
-			g.mu.Unlock()
-			return true
-		}
-		ch := g.resume
-		g.mu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return false
-		}
-	}
-}
-
 // HAU is a running High Availability Unit: "the smallest unit of work that
 // can be checkpointed and recovered independently".
 type HAU struct {
@@ -410,9 +389,10 @@ type HAU struct {
 	src operator.Source // cfg.Ops[0] if it is a source
 	ctx context.Context // loop context, set by run
 
-	ctrl   chan Command
-	merged chan inItem // fan-in of all input edges
-	gates  []*portGate
+	ctrl chan Command
+	// wake is bound to every input edge: a push or a hang-up on any of them
+	// pokes it, and the idle loop sleeps on it.
+	wake chan struct{}
 
 	// Output geometry. out holds the logical ports; physOut flattens their
 	// edges port-major, and outBase[p] is the physical index of out[p]'s
@@ -444,6 +424,7 @@ type HAU struct {
 	inFrom    []string
 	inLogical []int
 	attachQ   []Command // CmdAddInPort waiting for AfterFrom ports to close
+	nextPort  int       // where the next read round starts
 
 	// Loop-owned state (no locks needed).
 	cpuDebt     time.Duration // accumulated service time not yet charged to cfg.CPU
@@ -452,7 +433,7 @@ type HAU struct {
 	lastSrcID   []map[string]uint64 // per in port: per-source high-water ID
 	aligned     []bool
 	closed      []bool           // input edge hung up; counts as aligned
-	parked      [][]*tuple.Batch // per port: batches held during alignment
+	parked      [][]*tuple.Batch // per port: popped batches not yet processed, read before the edge
 	presPending [][]*tuple.Tuple // per physical out edge: retained copies awaiting preservation
 	awaiting    bool
 	pendingEp   uint64
@@ -472,8 +453,9 @@ type HAU struct {
 
 	// Unaligned-capture state (MSSrcAPU), loop-owned. While armed, the
 	// operator snapshot for ucapEpoch is already taken (ucapSnap) and the
-	// loop is collecting in-flight channel tuples on not-yet-sealed ports
-	// into ucapLog; data batches are parked until the capture finalizes.
+	// loop reads not-yet-sealed ports ahead, logging their in-flight channel
+	// tuples into ucapLog; data batches are parked until the capture
+	// finalizes.
 	ucapArmed     bool
 	ucapEpoch     uint64
 	ucapStart     int64
@@ -482,8 +464,8 @@ type HAU struct {
 	ucapSealed    []bool
 	ucapLog       *buffer.ChannelCapture
 
-	// pausedAt records, per input port, when alignment paused its
-	// forwarder — the per-port alignment stall reported in the breakdown.
+	// pausedAt records, per input port, when alignment stopped reading it —
+	// the per-port alignment stall reported in the breakdown.
 	pausedAt []int64
 
 	// chanReplay holds channel tuples decoded from an unaligned
@@ -584,7 +566,7 @@ func New(cfg Config) (*HAU, error) {
 		migSeen:     make([]bool, len(cfg.In)),
 		parked:      make([][]*tuple.Batch, len(cfg.In)),
 		presPending: make([][]*tuple.Tuple, len(physOut)),
-		gates:       make([]*portGate, len(cfg.In)),
+		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
 	h.inFrom = make([]string, len(h.in))
@@ -593,10 +575,7 @@ func New(cfg Config) (*HAU, error) {
 	}
 	for i := range h.lastSrcID {
 		h.lastSrcID[i] = make(map[string]uint64)
-		h.gates[i] = &portGate{}
 	}
-	// Always allocated: a rescale can attach input ports to an HAU later.
-	h.merged = make(chan inItem, 2*len(cfg.In)+4)
 	if s, ok := cfg.Ops[0].(operator.Source); ok {
 		h.src = s
 		if len(cfg.In) > 0 {
@@ -708,137 +687,6 @@ func (h *HAU) WaitWriters() { h.writerWG.Wait() }
 
 func (h *HAU) now() int64 { return h.cfg.Now() }
 
-// forward is the per-input-edge forwarder goroutine: it moves batches from
-// the edge channel onto the merged channel, preserving per-edge FIFO
-// order. While its gate is paused (token alignment) it forwards nothing,
-// so the bounded edge fills and the upstream sender blocks — backpressure
-// on exactly the aligning edge.
-// The gate is passed by value-pointer rather than read from h.gates so a
-// concurrent port attach (which appends to the slice) cannot race with a
-// running forwarder.
-func (h *HAU) forward(ctx context.Context, port int, g *portGate, e *Edge) {
-	var capDone uint64
-	for {
-		if !g.wait(ctx) {
-			return
-		}
-		if ep, cancel := g.capture(); ep != 0 && ep > capDone {
-			capDone = ep
-			if !h.drainCapture(ctx, port, e, ep, cancel) {
-				return
-			}
-			continue
-		}
-		b, ok := e.Recv(ctx)
-		if !ok {
-			if ctx.Err() != nil {
-				return
-			}
-			// Edge closed: deliver the hangup marker, then exit.
-			select {
-			case h.merged <- inItem{port: port}:
-			case <-ctx.Done():
-			}
-			return
-		}
-		select {
-		case h.merged <- inItem{port: port, batch: b}:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// sendItem delivers one item to the merged channel.
-func (h *HAU) sendItem(ctx context.Context, it inItem) bool {
-	select {
-	case h.merged <- it:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// drainCapture is the forwarder's unaligned-capture mode: instead of
-// handing batches to the (possibly backlogged) merged channel one send at
-// a time, it pulls the edge dry hunting for the capture token — the
-// barrier overtakes the queued backlog — logging the data tuples it
-// passes. Everything pulled is buffered and forwarded afterwards in FIFO
-// order, so live processing sees the exact same stream; the log is handed
-// to the loop as the port's seal and becomes part of the checkpoint's
-// channel-state section. The drain exits without sealing when the capture
-// is cancelled (the loop saw the token in-band first, or the capture
-// aborted), when a migration token or a newer epoch's token preempts it,
-// or when the edge closes. Returns false when the forwarder should exit.
-func (h *HAU) drainCapture(ctx context.Context, port int, e *Edge, epoch uint64, cancel chan struct{}) bool {
-	var logged []*tuple.Tuple
-	var buffered []*tuple.Batch
-	sealed := false
-	hangup := false
-	preempted := false
-scan:
-	for {
-		var b *tuple.Batch
-		var ok bool
-		select {
-		case b, ok = <-e.C:
-			if !ok {
-				hangup = true
-				break scan
-			}
-			e.queued.Add(-int64(len(b.Tuples)))
-		case <-cancel:
-			preempted = true
-			break scan
-		case <-ctx.Done():
-			for _, t := range logged {
-				tuple.Put(t)
-			}
-			return false
-		}
-		for _, t := range b.Tuples {
-			if t.IsToken() {
-				tok := t.Tok
-				switch {
-				case tok.Kind == tuple.OneHop && tok.Epoch == epoch:
-					sealed = true
-				case tok.Kind == tuple.Migration || tok.Epoch > epoch:
-					// A migration drain or a newer epoch preempts this
-					// capture; the loop sees the token in-band and aborts.
-					preempted = true
-				}
-			} else if !sealed && !preempted {
-				logged = append(logged, t.Retain())
-			}
-		}
-		buffered = append(buffered, b)
-		if sealed || preempted {
-			break
-		}
-	}
-	if sealed || hangup {
-		// Seal first: FIFO order means the loop stops logging this port
-		// before it processes the buffered (post-token) tuples below.
-		if !h.sendItem(ctx, inItem{port: port, seal: &portSeal{epoch: epoch, log: logged}}) {
-			return false
-		}
-	} else {
-		for _, t := range logged {
-			tuple.Put(t)
-		}
-	}
-	for _, b := range buffered {
-		if !h.sendItem(ctx, inItem{port: port, batch: b}) {
-			return false
-		}
-	}
-	if hangup {
-		h.sendItem(ctx, inItem{port: port})
-		return false
-	}
-	return true
-}
-
 func (h *HAU) run(ctx context.Context) {
 	h.ctx = ctx
 	defer func() {
@@ -910,7 +758,7 @@ func (h *HAU) run(ctx context.Context) {
 	h.srcReplay = nil
 	// Channel tuples logged by an unaligned checkpoint replay through the
 	// normal input path (dedup, operator chain, output stamping) before
-	// the forwarders start — exactly as if the edges delivered them first.
+	// the edges are read — exactly as if the edges delivered them first.
 	// Their sequence numbers pick up right after the snapshot's lastInSeq,
 	// and upstream re-emissions resume right after them.
 	for _, cs := range h.chanReplay {
@@ -936,8 +784,8 @@ func (h *HAU) run(ctx context.Context) {
 		h.nextCkpt = h.now() + int64(h.cfg.CkptPhase)
 	}
 
-	for i, e := range h.in {
-		go h.forward(ctx, i, h.gates[i], e)
+	for _, e := range h.in {
+		e.bind(h.wake)
 	}
 
 	ticker := time.NewTicker(h.cfg.TickEvery)
@@ -954,30 +802,9 @@ func (h *HAU) run(ctx context.Context) {
 			h.onCommand(ctx, cmd)
 		case <-ticker.C:
 			h.onTick(ctx)
-		case it := <-h.merged:
-			switch {
-			case it.seal != nil:
-				h.onSeal(it.port, it.seal)
-			case it.batch == nil:
-				// Upstream hung up; treat as quiescence, keep serving
-				// other inputs.
-				h.closed[it.port] = true
-				if h.ucapArmed {
-					h.sealUnalignedPort(it.port)
-				}
-				h.checkAlignment(ctx)
-				h.tryAttach(ctx)
-			case h.ucapArmed:
-				h.captureScan(ctx, it.port, it.batch)
-			case h.aligned[it.port]:
-				// Stream boundary: hold in-flight batches until the
-				// remaining tokens arrive.
-				h.parked[it.port] = append(h.parked[it.port], it.batch)
-			default:
-				h.processBatch(ctx, it.port, it.batch)
-			}
-			h.drainParked(ctx)
+		default:
 		}
+		read := h.readInputs(ctx)
 		// Migration drain complete: everything routed to this incarnation
 		// has been processed, nothing is parked, and no checkpoint is in
 		// flight. Hand the state to the cluster and exit; the destination
@@ -1006,19 +833,114 @@ func (h *HAU) run(ctx context.Context) {
 				h.migSeen[i] = false
 			}
 		}
-		// Idle flush: when no input is waiting, push partial batches out
-		// instead of sitting on them until the next tick. Under load the
-		// merged channel stays busy and batches fill up instead.
-		if len(h.merged) == 0 && !h.flushAll(ctx) {
+		if read {
+			continue
+		}
+		// Idle: push partial batches out instead of sitting on them until
+		// the next tick, then sleep until an input, command or tick. Under
+		// load every round reads something and batches fill up instead.
+		if !h.flushAll(ctx) {
 			return
 		}
+		select {
+		case <-ctx.Done():
+			return
+		case cmd := <-h.ctrl:
+			h.onCommand(ctx, cmd)
+		case <-ticker.C:
+			h.onTick(ctx)
+		case <-h.wake:
+		}
 	}
+}
+
+// readInputs runs one round over the input ports and reports whether it
+// consumed anything. Each readable port gives at most one batch, parked
+// batches before its edge, so per-edge FIFO order holds and no busy port
+// starves the rest. An aligning port is not read at all — the ABS "block
+// the channel" step: its bounded ring fills and backpressures exactly that
+// upstream while the other ports keep flowing. While an unaligned capture
+// is armed, readCapture reads ahead instead. A queued command ends the
+// round early, so a checkpoint never waits behind a whole round of
+// operator work; the next round resumes at the port where this one stopped.
+func (h *HAU) readInputs(ctx context.Context) bool {
+	read := false
+	for i := len(h.in); i > 0; i-- {
+		if h.failed.Load() || len(h.ctrl) > 0 {
+			return read
+		}
+		p := h.nextPort
+		if h.nextPort++; h.nextPort >= len(h.in) {
+			h.nextPort = 0
+		}
+		switch {
+		case h.aligned[p]:
+		case h.ucapArmed:
+			read = h.readCapture(ctx, p) || read
+		case len(h.parked[p]) > 0:
+			b := h.parked[p][0]
+			h.parked[p][0] = nil
+			h.parked[p] = h.parked[p][1:]
+			h.processBatch(ctx, p, b)
+			read = true
+		case !h.closed[p]:
+			b, closed := h.in[p].pop()
+			if b != nil {
+				h.processBatch(ctx, p, b)
+				read = true
+			} else if closed {
+				h.onHangup(ctx, p)
+				read = true
+			}
+		}
+	}
+	return read
+}
+
+// readCapture is readInputs' step for port p while an unaligned capture is
+// armed. An unsealed port is read ahead: every batch queued on its edge is
+// scanned now, so the capture barrier overtakes the backlog and the loop
+// reaches the remaining seals without paying per-tuple processing on the
+// way. A sealed port gives one batch per round. captureScan logs and parks
+// the data for processing after the capture finalizes.
+func (h *HAU) readCapture(ctx context.Context, p int) bool {
+	if h.closed[p] {
+		return false
+	}
+	read := false
+	for {
+		b, closed := h.in[p].pop()
+		if b == nil {
+			if closed {
+				h.onHangup(ctx, p)
+				return true
+			}
+			return read
+		}
+		read = true
+		h.captureScan(ctx, p, b)
+		if !h.ucapArmed || p >= len(h.ucapSealed) || h.ucapSealed[p] {
+			return true
+		}
+	}
+}
+
+// onHangup handles input port p's edge closing after its last batch: the
+// upstream is gone, so the port counts as aligned and sealed from now on
+// and the HAU keeps serving its other inputs.
+func (h *HAU) onHangup(ctx context.Context, p int) {
+	h.closed[p] = true
+	if h.ucapArmed {
+		h.sealUnalignedPort(p)
+	}
+	h.checkAlignment(ctx)
+	h.tryAttach()
 }
 
 // migrationAligned reports whether every input port has delivered its
 // migration token or closed. A port that still has parked batches (an
 // interleaved checkpoint alignment) is not done: its token order must be
-// preserved, so completion waits for drainParked to empty it.
+// preserved, so completion waits for readInputs to empty it.
 func (h *HAU) migrationAligned() bool {
 	for i := range h.migSeen {
 		if !h.migSeen[i] && !h.closed[i] {
@@ -1065,31 +987,6 @@ func (h *HAU) processBatch(ctx context.Context, port int, b *tuple.Batch) {
 		h.processed.Add(n)
 	}
 	tuple.PutBatch(b)
-}
-
-// drainParked processes batches parked during alignment as soon as their
-// port reopens, before any newer merged deliveries — preserving per-edge
-// FIFO order across an alignment pause.
-func (h *HAU) drainParked(ctx context.Context) {
-	if h.ucapArmed {
-		// Parked batches wait out the capture: processing them now would
-		// delay the remaining ports' seals behind per-tuple work.
-		return
-	}
-	for {
-		progressed := false
-		for p := range h.parked {
-			for len(h.parked[p]) > 0 && !h.aligned[p] && !h.failed.Load() {
-				b := h.parked[p][0]
-				h.parked[p] = h.parked[p][1:]
-				h.processBatch(ctx, p, b)
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
-		}
-	}
 }
 
 // flushAll pushes every output edge's pending batch (and preservation
@@ -1252,7 +1149,7 @@ func (h *HAU) onCommand(ctx context.Context, cmd Command) {
 	case CmdAddInPort:
 		if cmd.Edge != nil {
 			h.attachQ = append(h.attachQ, cmd)
-			h.tryAttach(ctx)
+			h.tryAttach()
 		}
 	case CmdReplayOutput:
 		if h.cfg.Preserver == nil || cmd.Port < 0 || cmd.Port >= len(h.out) || len(h.out[cmd.Port].Edges) != 1 {
@@ -1344,11 +1241,11 @@ func splicePres(s [][]*tuple.Tuple, base, n, m int) [][]*tuple.Tuple {
 // This serializes the old incarnation's stream strictly before the replica
 // streams that replace it. Each attach is acknowledged on the command's
 // Reply, if any.
-func (h *HAU) tryAttach(ctx context.Context) {
+func (h *HAU) tryAttach() {
 	kept := h.attachQ[:0]
 	for _, cmd := range h.attachQ {
 		if h.afterClosed(cmd.AfterFrom) {
-			h.attachInPort(ctx, cmd.Edge, cmd.Logical)
+			h.attachInPort(cmd.Edge, cmd.Logical)
 			if cmd.Reply != nil {
 				cmd.Reply <- nil
 			}
@@ -1370,15 +1267,15 @@ func (h *HAU) afterClosed(after []string) bool {
 	return true
 }
 
-// attachInPort appends one input port and spawns its forwarder. The new
-// port starts unaligned and unclosed with zeroed dedup state — its edge is
-// fresh, so sequence numbers restart at 1.
-func (h *HAU) attachInPort(ctx context.Context, e *Edge, logical int) {
+// attachInPort appends one input port and binds its edge to the loop's
+// wake channel; the next round reads it. The new port starts unaligned and
+// unclosed with zeroed dedup state — its edge is fresh, so sequence
+// numbers restart at 1.
+func (h *HAU) attachInPort(e *Edge, logical int) {
 	// The per-capture port arrays are sized at arming; a geometry change
 	// mid-capture aborts it (the rescale coordinator quiesces checkpoints,
 	// so this is a defensive guard, not a normal path).
 	h.abortUnaligned()
-	port := len(h.in)
 	h.in = append(h.in, e)
 	h.inFrom = append(h.inFrom, e.From)
 	h.inLogical = append(h.inLogical, logical)
@@ -1389,9 +1286,7 @@ func (h *HAU) attachInPort(ctx context.Context, e *Edge, logical int) {
 	h.pausedAt = append(h.pausedAt, 0)
 	h.migSeen = append(h.migSeen, false)
 	h.parked = append(h.parked, nil)
-	g := &portGate{}
-	h.gates = append(h.gates, g)
-	go h.forward(ctx, port, g, e)
+	e.bind(h.wake)
 }
 
 func (h *HAU) onCheckpointCmd(ctx context.Context, epoch uint64) {
@@ -1439,7 +1334,7 @@ func (h *HAU) onCheckpointCmd(ctx context.Context, epoch uint64) {
 		}
 		if h.cfg.Scheme.Unaligned() {
 			// Snapshot immediately and log in-flight channel tuples
-			// instead of pausing forwarders for alignment.
+			// instead of leaving ports unread for alignment.
 			h.armUnaligned(ctx, epoch)
 			return
 		}
@@ -1543,7 +1438,6 @@ func (h *HAU) onToken(ctx context.Context, port int, tok tuple.Token) {
 	}
 	h.aligned[port] = true
 	h.pausedAt[port] = h.now()
-	h.gates[port].pause()
 	h.checkAlignment(ctx)
 }
 
@@ -1581,7 +1475,6 @@ func (h *HAU) checkAlignment(ctx context.Context) {
 	h.doneEpoch = epoch
 	for i := range h.aligned {
 		h.aligned[i] = false // erase tokens, reopen inputs
-		h.gates[i].unpause()
 	}
 	h.doCheckpoint(ctx, epoch, tokenWait, alignMax, alignSum)
 	if h.cfg.Scheme == MSSrc {
@@ -1754,8 +1647,8 @@ func (h *HAU) submitCheckpoint(job ckptJob) {
 // armUnaligned starts an unaligned capture for epoch: the operator state
 // is snapshotted immediately (the token-broadcast instant is the cut) and
 // every open input port switches to channel logging until its token
-// lands. Forwarders are never paused — their gates are armed so they
-// overtake the edge backlog hunting for the token.
+// lands. No port is paused: readCapture reads the unsealed ones ahead, so
+// the token overtakes the edge backlog.
 func (h *HAU) armUnaligned(ctx context.Context, epoch uint64) {
 	if h.migArmed {
 		return // migration drain in progress: no new captures
@@ -1783,10 +1676,15 @@ func (h *HAU) armUnaligned(ctx context.Context, epoch uint64) {
 		h.ucapSnap = snap
 	}
 	for port := range h.in {
-		if h.closed[port] {
-			h.ucapSealed[port] = true
-		} else {
-			h.gates[port].arm(epoch)
+		h.ucapSealed[port] = h.closed[port]
+		// Parked data precedes everything still on the edge, so it is
+		// in flight at the cut: the snapshot above has not seen it.
+		for _, b := range h.parked[port] {
+			for _, t := range b.Tuples {
+				if !t.IsToken() {
+					h.ucapLog.Log(port, t)
+				}
+			}
 		}
 	}
 	h.maybeFinalizeUnaligned()
@@ -1814,25 +1712,10 @@ func (h *HAU) sealUnalignedPort(port int) {
 		return
 	}
 	h.ucapSealed[port] = true
-	h.gates[port].disarm()
 	h.maybeFinalizeUnaligned()
 }
 
-// onSeal absorbs a forwarder's drain log: the tuples it overtook on the
-// edge between the capture arming and the token. Stale seals (the capture
-// aborted or was preempted) release their log.
-func (h *HAU) onSeal(port int, s *portSeal) {
-	if !h.ucapArmed || s.epoch != h.ucapEpoch || port < 0 || port >= len(h.ucapSealed) || h.ucapSealed[port] {
-		for _, t := range s.log {
-			tuple.Put(t)
-		}
-		return
-	}
-	h.ucapLog.Absorb(port, s.log)
-	h.sealUnalignedPort(port)
-}
-
-// captureScan handles one merged data batch while a capture is armed:
+// captureScan handles one popped batch while a capture is armed:
 // data tuples on unsealed ports are logged into the capture, every data
 // tuple is parked for processing after the capture finalizes (so the loop
 // reaches the remaining seals without paying per-tuple processing cost in
@@ -1846,6 +1729,12 @@ func (h *HAU) captureScan(ctx context.Context, port int, b *tuple.Batch) {
 			tok := *t.Tok
 			b.Tuples[i] = nil
 			tuple.Put(t)
+			// Park what precedes the token first: a token that re-arms the
+			// capture for a newer epoch logs everything parked.
+			if park != nil {
+				h.parked[port] = append(h.parked[port], park)
+				park = nil
+			}
 			h.onToken(ctx, port, tok)
 			continue
 		}
@@ -1884,9 +1773,6 @@ func (h *HAU) maybeFinalizeUnaligned() {
 	h.ucapSnap = nil
 	h.ucapLog = nil
 	h.doneEpoch = epoch
-	for _, g := range h.gates {
-		g.disarm()
-	}
 	if snap == nil {
 		log.Release()
 		return // no catalog: capture protocol ran, nothing to persist
@@ -1912,8 +1798,8 @@ func (h *HAU) maybeFinalizeUnaligned() {
 }
 
 // abortUnaligned force-seals an in-flight capture without persisting it:
-// the snapshot sections and channel logs are released and the forwarder
-// drains cancelled. The epoch never completes in the catalog, so recovery
+// the snapshot sections and channel logs are released and the ports are
+// read normally again. The epoch never completes in the catalog, so recovery
 // simply uses an older complete one — safe because every logged tuple was
 // also processed live. Idempotent.
 func (h *HAU) abortUnaligned() {
@@ -1928,9 +1814,6 @@ func (h *HAU) abortUnaligned() {
 	if h.ucapLog != nil {
 		h.ucapLog.Release()
 		h.ucapLog = nil
-	}
-	for _, g := range h.gates {
-		g.disarm()
 	}
 }
 

@@ -190,7 +190,7 @@ type CheckpointBreakdown struct {
 	Diff      time.Duration // writer-side block-delta computation
 	DiskIO    time.Duration // stable-storage write
 	// AlignStallMax/AlignStallSum measure how long tokened input ports
-	// had their forwarders paused waiting for the slowest token (max over
+	// went unread waiting for the slowest token (max over
 	// ports, and sum across ports). Always zero for unaligned and
 	// baseline checkpoints — that is the stall the unaligned scheme
 	// eliminates.

@@ -45,10 +45,7 @@ func TestTransportStressFIFOAndAlignment(t *testing.T) {
 		NewEdgeBatch("p2", "H", 256, 32),
 	}
 	out := NewEdge("H", "drain", 0)
-	go func() {
-		for range out.C {
-		}
-	}()
+	discard(t, out)
 	h, err := New(Config{
 		ID: "H", Scheme: MSSrcAP, Ops: []operator.Operator{operator.NewCounter("c")},
 		In: ins, Out: []*Edge{out}, Catalog: cat,

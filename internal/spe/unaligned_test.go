@@ -199,7 +199,7 @@ func TestUnalignedCaptureRoundTrip(t *testing.T) {
 
 // TestUnalignedOvertakesBacklog reproduces the scenario the scheme exists
 // for: a deep edge backlog in front of the token on a slow consumer. The
-// forwarder's drain must overtake the backlog, log what it passes, and the
+// loop's read-ahead must overtake the backlog, log what it passes, and the
 // checkpoint cut (operator snapshot + channel log) must equal exactly the
 // pre-token prefix — wherever the arm instant happened to land.
 func TestUnalignedOvertakesBacklog(t *testing.T) {
