@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race flake perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
+.PHONY: ci vet lint build test race flake examples perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
 
-ci: vet lint build race perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
+ci: vet lint build race examples perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,14 @@ flake:
 		done; \
 	done; \
 	exit $$fail
+
+# Build and run every example program. Each checks its own result and
+# exits non-zero through log.Fatal when the check fails.
+examples:
+	@for e in quickstart extensions bcp tmi signalguru; do \
+		echo "examples: $$e"; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
 
 # perfbench is a module of its own, so the root ./... never reaches it.
 perfbench-test:

@@ -30,61 +30,17 @@ import (
 )
 
 func main() {
-	var (
-		topology = flag.String("topology", "chain", `topology: "chain", "fanin", "fanout" or "all"`)
-		scheme   = flag.String("scheme", "ms-src+ap", "checkpoint scheme: ms-src | ms-src+ap | ms-src+ap+aa | ms-src+ap+unaligned")
-		seed     = flag.Int64("seed", 1, "schedule seed; a failing seed replays the identical schedule")
-		rounds   = flag.Int("rounds", 3, "kill/recover rounds per run")
-		nodes    = flag.Int("nodes", 4, "worker nodes")
-		limit    = flag.Uint64("limit", 60, "tuple ids emitted per source")
-		abe      = flag.Bool("abe", false, "sample bursts from the Abe cluster profile instead of Google's DC")
-		verbose  = flag.Bool("v", false, "log per-round progress")
-
-		place     = flag.String("placement", "", `placement policy: "roundrobin", "rackspread" or "loadaware" ("" = cluster default)`)
-		npr       = flag.Int("nodes-per-rack", 0, "failure-domain geometry (0 = one rack)")
-		migrate   = flag.Bool("migrate", false, "enable live-migration chaos, including the mid-migration kill instant")
-		rescale   = flag.Bool("rescale", false, "enable re-partition chaos: clean splits/merges plus the mid-rescale kill instant")
-		rebalance = flag.Bool("rebalance", false, "enable hot-slot rebalance chaos: clean weighted slot moves plus the mid-rebalance kill instant")
-		elastic   = flag.Bool("elastic", false, "enable fleet-elasticity chaos: clean grow/drain cycles plus the mid-scale-in and scale-in-destination kill instants")
-		ha        = flag.Bool("ha", false, "enable hybrid fault-tolerance chaos: an active standby on each topology's HA victim, hybrid promote-or-rollback recovery, plus the primary-kill and standby-mid-promotion instants")
-	)
-	flag.Parse()
-
-	sch, err := chaos.ParseScheme(*scheme)
+	base, tops, verbose, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var tops []chaos.Topology
-	if *topology == "all" {
-		tops = chaos.Topologies
-	} else {
-		tops = []chaos.Topology{chaos.Topology(*topology)}
-	}
-	profile := failure.GoogleDC()
-	if *abe {
-		profile = failure.AbeCluster()
-	}
 
 	failed := false
 	for _, top := range tops {
-		cfg := chaos.Config{
-			Topology:     top,
-			Scheme:       sch,
-			Seed:         *seed,
-			Rounds:       *rounds,
-			Nodes:        *nodes,
-			SourceLimit:  *limit,
-			Profile:      profile,
-			Placement:    *place,
-			NodesPerRack: *npr,
-			Migrations:   *migrate,
-			Rescales:     *rescale,
-			Rebalances:   *rebalance,
-			Elastic:      *elastic,
-			HA:           *ha,
-		}
-		if *verbose {
+		cfg := base
+		cfg.Topology = top
+		if verbose {
 			cfg.Logf = func(format string, args ...any) {
 				fmt.Printf("[%s] "+format+"\n", append([]any{top}, args...)...)
 			}
@@ -113,4 +69,43 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// parseFlags parses mschaos's command line into the run configuration
+// (Topology left unset), the topologies to run it on and the -v setting.
+// Result.ReplayCommand prints the flags this reads.
+func parseFlags(args []string) (cfg chaos.Config, tops []chaos.Topology, verbose bool, err error) {
+	fs := flag.NewFlagSet("mschaos", flag.ExitOnError)
+	var (
+		topology = fs.String("topology", "chain", `topology: "chain", "fanin", "fanout" or "all"`)
+		scheme   = fs.String("scheme", "ms-src+ap", "checkpoint scheme: ms-src | ms-src+ap | ms-src+ap+aa | ms-src+ap+unaligned")
+		abe      = fs.Bool("abe", false, "sample bursts from the Abe cluster profile instead of Google's DC")
+	)
+	fs.Int64Var(&cfg.Seed, "seed", 1, "schedule seed; a failing seed replays the identical schedule")
+	fs.IntVar(&cfg.Rounds, "rounds", 3, "kill/recover rounds per run")
+	fs.IntVar(&cfg.Nodes, "nodes", 4, "worker nodes")
+	fs.Uint64Var(&cfg.SourceLimit, "limit", 60, "tuple ids emitted per source")
+	fs.BoolVar(&verbose, "v", false, "log per-round progress")
+	fs.StringVar(&cfg.Placement, "placement", "", `placement policy: "roundrobin", "rackspread" or "loadaware" ("" = cluster default)`)
+	fs.IntVar(&cfg.NodesPerRack, "nodes-per-rack", 0, "failure-domain geometry (0 = one rack)")
+	fs.BoolVar(&cfg.Migrations, "migrate", false, "enable live-migration chaos, including the mid-migration kill instant")
+	fs.BoolVar(&cfg.Rescales, "rescale", false, "enable re-partition chaos: clean splits/merges plus the mid-rescale kill instant")
+	fs.BoolVar(&cfg.Rebalances, "rebalance", false, "enable hot-slot rebalance chaos: clean weighted slot moves plus the mid-rebalance kill instant")
+	fs.BoolVar(&cfg.Elastic, "elastic", false, "enable fleet-elasticity chaos: clean grow/drain cycles plus the mid-scale-in and scale-in-destination kill instants")
+	fs.BoolVar(&cfg.HA, "ha", false, "enable hybrid fault-tolerance chaos: an active standby on each topology's HA victim, hybrid promote-or-rollback recovery, plus the primary-kill and standby-mid-promotion instants")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits the command
+
+	if cfg.Scheme, err = chaos.ParseScheme(*scheme); err != nil {
+		return cfg, nil, false, err
+	}
+	cfg.Profile = failure.GoogleDC()
+	if *abe {
+		cfg.Profile = failure.AbeCluster()
+	}
+	if *topology == "all" {
+		tops = chaos.Topologies
+	} else {
+		tops = []chaos.Topology{chaos.Topology(*topology)}
+	}
+	return cfg, tops, verbose, nil
 }

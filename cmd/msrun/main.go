@@ -19,11 +19,11 @@ import (
 	"meteorshower/internal/apps"
 	"meteorshower/internal/bench"
 	"meteorshower/internal/cluster"
-	"meteorshower/internal/core"
 	"meteorshower/internal/elastic"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/placement"
 	"meteorshower/internal/spe"
+	"meteorshower/internal/storage"
 )
 
 func parseScheme(s string) (spe.Scheme, error) {
@@ -50,6 +50,35 @@ func shareString(shares []float64) string {
 		parts[i] = fmt.Sprintf("%.2f", s)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// summary holds one run's headline measurements, the quantities Figs.
+// 12/13 plot.
+type summary struct {
+	Tuples      uint64
+	TuplesPerMS float64
+	MeanLatency time.Duration
+	P99         time.Duration
+	Checkpoints int
+}
+
+// summarize reads the sink collector and the controller into a summary of
+// the deliveries since 'since' (UnixNano); window is used for the rate.
+func summarize(cl *cluster.Cluster, col *metrics.Collector, since int64, window time.Duration) summary {
+	completed := 0
+	for _, st := range cl.Controller().EpochStats() {
+		if st.Complete {
+			completed++
+		}
+	}
+	n := col.CountSince(since)
+	return summary{
+		Tuples:      n,
+		TuplesPerMS: float64(n) / float64(window.Milliseconds()),
+		MeanLatency: col.MeanLatency(),
+		P99:         col.Quantile(0.99),
+		Checkpoints: completed,
+	}
 }
 
 func main() {
@@ -176,36 +205,40 @@ func main() {
 		}
 	}
 
-	sys, err := core.NewSystem(core.Options{
-		App:                  spec,
-		Apps:                 specs,
-		ArbiterEvery:         *arbEvery,
-		Scheme:               sch,
-		Nodes:                *nodes,
-		Placement:            pol,
-		NodesPerRack:         *npr,
-		RebalanceEvery:       *rebalance,
-		AutoscaleEvery:       *autoscale,
-		SplitAbove:           *splitAbove,
-		MergeBelow:           *mergeBelow,
-		AutoscaleMaxReplicas: *maxReplicas,
-		ImbalanceAbove:       *imbAbove,
-		ImbalanceWindow:      *imbWindow,
-		ImbalanceViolations:  *imbViolations,
-		ElasticEvery:         *elasticEvery,
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0 // model disk costs without sleeping
+	cl, err := cluster.New(cluster.Config{
+		App:                 spec,
+		Apps:                specs,
+		ArbiterEvery:        *arbEvery,
+		Scheme:              sch,
+		Nodes:               *nodes,
+		Placement:           pol,
+		NodesPerRack:        *npr,
+		RebalanceEvery:      *rebalance,
+		AutoscaleEvery:      *autoscale,
+		SplitAbove:          *splitAbove,
+		MergeBelow:          *mergeBelow,
+		MaxReplicas:         *maxReplicas,
+		ImbalanceAbove:      *imbAbove,
+		ImbalanceWindow:     *imbWindow,
+		ImbalanceViolations: *imbViolations,
+		ElasticEvery:        *elasticEvery,
 		Elastic: elastic.Config{
 			Window: *elWindow, Violations: *elViolations,
 			ScaleOutUtil: *outUtil, ScaleInUtil: *inUtil,
 			MinNodes: *minNodes, MaxNodes: *maxNodes,
 		},
-		NodeCores:        *nodeCores,
-		CheckpointPeriod: *period,
-		TickEvery:        time.Millisecond,
-		SourceFlush:      64 << 10,
-		Seed:             *seed,
-		DeltaCheckpoint:  *useDelta,
-		ShedWatermark:    *shed,
-		Metrics:          col,
+		NodeCores:       *nodeCores,
+		LocalDiskSpec:   local,
+		SharedSpec:      shared,
+		CkptPeriod:      *period,
+		TickEvery:       time.Millisecond,
+		SourceFlush:     64 << 10,
+		Seed:            *seed,
+		DeltaCheckpoint: *useDelta,
+		ShedWatermark:   *shed,
+		Metrics:         col,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -213,16 +246,16 @@ func main() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	// The autoscaler and the elasticity engine (like scheme-driven
 	// checkpointing) run inside the controller loop, so enabling either
 	// needs the controller running.
 	if *period > 0 || *autoscale > 0 || *elasticEvery > 0 || *arbEvery > 0 {
-		sys.StartController(ctx)
+		cl.StartController(ctx)
 	}
 
 	if len(specs) > 0 {
@@ -244,8 +277,8 @@ func main() {
 		<-ticker.C
 		if *killAfter > 0 && !killed && time.Since(start) >= *killAfter {
 			fmt.Println(">> injecting whole-cluster burst failure")
-			sys.KillAll()
-			stats, err := sys.RecoverAll(ctx)
+			cl.KillAll()
+			stats, err := cl.RecoverAll(ctx)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "recovery failed: %v\n", err)
 				os.Exit(1)
@@ -255,14 +288,14 @@ func main() {
 				stats.DiskIO.Truncate(time.Millisecond), stats.Reconnect.Truncate(time.Millisecond))
 			killed = true
 		}
-		processed := sys.Cluster().ProcessedTotal()
+		processed := cl.ProcessedTotal()
 		fmt.Printf("t=%-6s processed=%-10d sink=%-8d meanLat=%-12s epochs=%d\n",
 			time.Since(start).Truncate(100*time.Millisecond), processed,
-			col.Count(), col.MeanLatency().Truncate(time.Microsecond), sys.Controller().Epoch())
+			col.Count(), col.MeanLatency().Truncate(time.Microsecond), cl.Controller().Epoch())
 	}
-	sum := sys.Summarize(col, start.UnixNano(), *duration)
+	sum := summarize(cl, col, start.UnixNano(), *duration)
 	fmt.Printf("\nsummary: app=%s scheme=%s tuples=%d (%.1f/ms) meanLat=%s p99=%s checkpoints=%d\n",
-		sum.App, sum.Scheme, sum.Tuples, sum.TuplesPerMS,
+		spec.Name, sch, sum.Tuples, sum.TuplesPerMS,
 		sum.MeanLatency.Truncate(time.Microsecond), sum.P99.Truncate(time.Microsecond), sum.Checkpoints)
 	if cks := col.Checkpoints(); len(cks) > 0 {
 		var stallMax, stallSum time.Duration
@@ -287,17 +320,17 @@ func main() {
 		return "app=" + app + " "
 	}
 	if *elasticEvery > 0 {
-		for _, ev := range sys.Cluster().Elastic().Events() {
+		for _, ev := range cl.Elastic().Events() {
 			fmt.Printf("elastic %s node %d (fleet -> %d, apps %s)\n",
-				ev.Kind, ev.Node, ev.Fleet, strings.Join(sys.AppNames(), "+"))
+				ev.Kind, ev.Node, ev.Fleet, strings.Join(cl.AppNames(), "+"))
 		}
 		fmt.Printf("fleet: %d nodes at shutdown (apps %s)\n",
-			sys.Cluster().FleetSize(), strings.Join(sys.AppNames(), "+"))
+			cl.FleetSize(), strings.Join(cl.AppNames(), "+"))
 	}
-	if shares := sys.ArbiterShares(); len(shares) > 0 {
-		for _, name := range sys.AppNames() {
+	if shares := cl.ArbiterShares(); len(shares) > 0 {
+		for _, name := range cl.AppNames() {
 			fmt.Printf("fair-share app=%s nodes=%.2f processed=%d\n",
-				name, shares[name], sys.Cluster().ProcessedOf(name))
+				name, shares[name], cl.ProcessedOf(name))
 		}
 	}
 	for _, rs := range col.Rescales() {
@@ -312,13 +345,13 @@ func main() {
 	}
 	// Terminal per-replica load balance of every operator still split at
 	// shutdown, from the routers' observed tuple counts.
-	for _, id := range sys.Cluster().GraphNodes() {
-		if len(sys.Replicas(id)) < 2 {
+	for _, id := range cl.GraphNodes() {
+		if len(cl.Replicas(id)) < 2 {
 			continue
 		}
-		shares, ratio := sys.LoadShares(id, nil)
+		shares, ratio := cl.LoadShares(id, nil)
 		fmt.Printf("load %s%s shares=%s imbalance=%.2f\n",
-			appTag(sys.Cluster().AppOfHAU(id)), id, shareString(shares), ratio)
+			appTag(cl.AppOfHAU(id)), id, shareString(shares), ratio)
 	}
 	bad := false
 	if len(refs) > 0 {

@@ -11,9 +11,10 @@ import (
 	"time"
 
 	"meteorshower/internal/apps"
-	"meteorshower/internal/core"
+	"meteorshower/internal/cluster"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
+	"meteorshower/internal/storage"
 )
 
 func main() {
@@ -26,36 +27,40 @@ func main() {
 	fmt.Printf("BCP query network: %d operators (cameras, counters, history, predictors)\n",
 		spec.Graph.NumNodes())
 
-	sys, err := core.NewSystem(core.Options{
-		App:              spec,
-		Scheme:           spe.MSSrcAP,
-		Nodes:            8,
-		CheckpointPeriod: 600 * time.Millisecond,
-		TickEvery:        time.Millisecond,
-		SourceFlush:      64 << 10,
-		Seed:             2,
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0 // model disk costs without sleeping
+	cl, err := cluster.New(cluster.Config{
+		App:           spec,
+		Scheme:        spe.MSSrcAP,
+		Nodes:         8,
+		CkptPeriod:    600 * time.Millisecond,
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   64 << 10,
+		Seed:          2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
-	sys.StartController(ctx)
+	defer cl.StopAll()
+	cl.StartController(ctx)
 
 	time.Sleep(time.Second)
-	if err := sys.WaitForEpoch(1, 10*time.Second); err != nil {
+	if err := cl.Catalog().WaitForEpoch(1, 10*time.Second); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpointed; sink has %d predictions\n", col.Count())
 
 	// Correlated burst: nodes 0..3 share a rack whose switch dies.
 	fmt.Println("injecting rack failure: nodes 0-3 down")
-	sys.KillNodes([]int{0, 1, 2, 3})
-	stats, err := sys.RecoverAll(ctx)
+	cl.KillNodes([]int{0, 1, 2, 3})
+	stats, err := cl.RecoverAll(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

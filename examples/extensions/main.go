@@ -13,7 +13,6 @@ import (
 
 	"meteorshower/internal/cluster"
 	"meteorshower/internal/controller"
-	"meteorshower/internal/core"
 	"meteorshower/internal/delta"
 	"meteorshower/internal/graph"
 	"meteorshower/internal/metrics"
@@ -115,11 +114,16 @@ func demoShedding() {
 			}
 		},
 	}
-	sys, err := core.NewSystem(core.Options{
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0 // model disk costs without sleeping
+	cl, err := cluster.New(cluster.Config{
 		App:           spec,
 		Scheme:        spe.MSSrcAP,
 		Nodes:         2,
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
 		TickEvery:     time.Millisecond,
+		SourceFlush:   4 << 10,
 		EdgeBuffer:    32,
 		Seed:          1,
 		ShedWatermark: 0.8,
@@ -129,12 +133,12 @@ func demoShedding() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	time.Sleep(time.Second)
-	shed := sys.Cluster().HAU("S").ShedCount()
+	shed := cl.HAU("S").ShedCount()
 	fmt.Printf("load shedding: overloaded stage; %d tuples delivered, %d shed, mean latency %s\n",
 		col.Count(), shed, col.MeanLatency().Truncate(time.Microsecond))
 	if shed == 0 {

@@ -11,11 +11,11 @@ import (
 	"time"
 
 	"meteorshower/internal/cluster"
-	"meteorshower/internal/core"
 	"meteorshower/internal/graph"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/operator"
 	"meteorshower/internal/spe"
+	"meteorshower/internal/storage"
 )
 
 func main() {
@@ -55,28 +55,34 @@ func main() {
 		},
 	}
 
-	// 3. Assemble the system: 3 simulated nodes, MS-src+ap scheme.
-	sys, err := core.NewSystem(core.Options{
-		App:       spec,
-		Scheme:    spe.MSSrcAP,
-		Nodes:     3,
-		TickEvery: time.Millisecond,
-		Seed:      42,
+	// 3. Assemble the cluster: 3 simulated nodes, MS-src+ap scheme. The
+	// disks model their costs without sleeping (TimeScale 0).
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0
+	cl, err := cluster.New(cluster.Config{
+		App:           spec,
+		Scheme:        spe.MSSrcAP,
+		Nodes:         3,
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   4 << 10,
+		Seed:          42,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 
 	// 4. Stream for a while, then checkpoint.
 	time.Sleep(300 * time.Millisecond)
-	epoch := sys.TriggerCheckpoint()
-	if err := sys.WaitForEpoch(epoch, 5*time.Second); err != nil {
+	epoch := cl.Controller().TriggerCheckpoint()
+	if err := cl.Catalog().WaitForEpoch(epoch, 5*time.Second); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpoint epoch %d complete; sink delivered %d tuples\n",
@@ -84,8 +90,8 @@ func main() {
 
 	// 5. Large-scale burst failure: every node dies at once.
 	time.Sleep(200 * time.Millisecond)
-	sys.KillAll()
-	stats, err := sys.RecoverAll(ctx)
+	cl.KillAll()
+	stats, err := cl.RecoverAll(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 	"meteorshower/internal/apps"
 	"meteorshower/internal/bench"
-	"meteorshower/internal/core"
+	"meteorshower/internal/cluster"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
 )
@@ -22,36 +22,36 @@ func runOnce(scheme spe.Scheme, dur time.Duration) (tput float64, lat time.Durat
 	cfg.SinkRef = &apps.SinkRef{}
 	p := bench.Defaults()
 
-	sys, err := core.NewSystem(core.Options{
-		App:              apps.SG(cfg),
-		Scheme:           scheme,
-		Nodes:            8,
-		CheckpointPeriod: dur / 3,
-		LocalDisk:        p.LocalDisk,
-		SharedDisk:       p.SharedDisk,
-		TickEvery:        time.Millisecond,
-		PreserveMemCap:   50 << 10,
-		SourceFlush:      64 << 10,
-		EdgeBuffer:       64,
-		Seed:             3,
+	cl, err := cluster.New(cluster.Config{
+		App:            apps.SG(cfg),
+		Scheme:         scheme,
+		Nodes:          8,
+		CkptPeriod:     dur / 3,
+		LocalDiskSpec:  p.LocalDisk,
+		SharedSpec:     p.SharedDisk,
+		TickEvery:      time.Millisecond,
+		PreserveMemCap: 50 << 10,
+		SourceFlush:    64 << 10,
+		EdgeBuffer:     64,
+		Seed:           3,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
-	sys.StartController(ctx)
+	defer cl.StopAll()
+	cl.StartController(ctx)
 
 	time.Sleep(dur / 4) // warmup
-	base := sys.Cluster().ProcessedTotal()
+	base := cl.ProcessedTotal()
 	col.Reset()
 	start := time.Now()
 	time.Sleep(dur)
-	n := sys.Cluster().ProcessedTotal() - base
+	n := cl.ProcessedTotal() - base
 	return float64(n) / float64(time.Since(start).Milliseconds()), col.MeanLatency()
 }
 

@@ -11,9 +11,10 @@ import (
 	"time"
 
 	"meteorshower/internal/apps"
-	"meteorshower/internal/core"
+	"meteorshower/internal/cluster"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
+	"meteorshower/internal/storage"
 )
 
 func main() {
@@ -24,48 +25,52 @@ func main() {
 	fmt.Printf("TMI query network: %d operators, %d streams, sources %v\n",
 		spec.Graph.NumNodes(), spec.Graph.NumEdges(), spec.Graph.Sources())
 
-	sys, err := core.NewSystem(core.Options{
-		App:              spec,
-		Scheme:           spe.MSSrcAPAA,
-		Nodes:            8,
-		CheckpointPeriod: 500 * time.Millisecond,
-		TickEvery:        time.Millisecond,
-		SourceFlush:      64 << 10,
-		Seed:             1,
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0 // model disk costs without sleeping
+	cl, err := cluster.New(cluster.Config{
+		App:           spec,
+		Scheme:        spe.MSSrcAPAA,
+		Nodes:         8,
+		CkptPeriod:    500 * time.Millisecond,
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   64 << 10,
+		Seed:          1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 
 	// Profiling phase (§III-C2): learn the state-size pattern.
-	prof := sys.Profile(ctx, 900*time.Millisecond)
+	prof := cl.Controller().ProfileApplication(ctx, 900*time.Millisecond)
 	fmt.Printf("profile: smax=%dB smin=%dB alpha=%.2f dynamic HAUs=%v\n",
-		prof.Smax, prof.Smin, prof.Alpha, sys.Controller().Dynamic())
+		prof.Smax, prof.Smin, prof.Alpha, cl.Controller().Dynamic())
 
 	// Actual execution: the controller fires checkpoints in alert mode.
-	sys.StartController(ctx)
+	cl.StartController(ctx)
 	start := time.Now()
 	for time.Since(start) < 2*time.Second {
 		time.Sleep(250 * time.Millisecond)
 		var total int64
-		for _, id := range sys.Cluster().GraphNodes() {
-			if h := sys.Cluster().HAU(id); h != nil {
+		for _, id := range cl.GraphNodes() {
+			if h := cl.HAU(id); h != nil {
 				total += h.CachedStateSize()
 			}
 		}
 		fmt.Printf("t=%-6s state=%-8dB alert=%-5v epochs=%d\n",
 			time.Since(start).Truncate(50*time.Millisecond), total,
-			sys.Controller().InAlertMode(), sys.Controller().Epoch())
+			cl.Controller().InAlertMode(), cl.Controller().Epoch())
 	}
 
 	// Report what each checkpoint actually saved.
-	for _, st := range sys.Controller().EpochStats() {
+	for _, st := range cl.Controller().EpochStats() {
 		if !st.Complete {
 			continue
 		}

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"meteorshower/internal/cluster"
-	"meteorshower/internal/core"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
+	"meteorshower/internal/storage"
 )
 
 func TestTMIPaperTopology(t *testing.T) {
@@ -88,26 +88,36 @@ func TestSmallTopologiesValidate(t *testing.T) {
 	}
 }
 
+// testConfig is the deployment the apps tests run: spec under scheme on
+// nodes simulated nodes whose disks model costs without sleeping.
+func testConfig(spec cluster.AppSpec, scheme spe.Scheme, nodes int) cluster.Config {
+	local, shared := storage.DefaultLocalDisk(), storage.DefaultSharedStore()
+	local.TimeScale, shared.TimeScale = 0, 0
+	return cluster.Config{
+		App:           spec,
+		Scheme:        scheme,
+		Nodes:         nodes,
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   4 << 10,
+		Seed:          1,
+	}
+}
+
 // runSmoke boots an app under a scheme and waits for sink deliveries.
 func runSmoke(t *testing.T, spec cluster.AppSpec, col *metrics.Collector, want uint64, timeout time.Duration) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Options{
-		App:       spec,
-		Scheme:    spe.MSSrcAP,
-		Nodes:     4,
-		TimeScale: 0, // no disk sleeping in tests
-		TickEvery: time.Millisecond,
-		Seed:      1,
-	})
+	cl, err := cluster.New(testConfig(spec, spe.MSSrcAP, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if col.Count() >= want {
@@ -142,34 +152,27 @@ func TestTMICheckpointAndRecover(t *testing.T) {
 	cfg := TMISmall(col)
 	cfg.SinkRef = ref
 	cfg.TrackIdentity = true
-	sys, err := core.NewSystem(core.Options{
-		App:       TMI(cfg),
-		Scheme:    spe.MSSrcAP,
-		Nodes:     3,
-		TimeScale: 0,
-		TickEvery: time.Millisecond,
-		Seed:      1,
-	})
+	cl, err := cluster.New(testConfig(TMI(cfg), spe.MSSrcAP, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 
 	deadline := time.Now().Add(20 * time.Second)
 	for col.Count() < 5 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	ep := sys.TriggerCheckpoint()
-	if err := sys.WaitForEpoch(ep, 20*time.Second); err != nil {
+	ep := cl.Controller().TriggerCheckpoint()
+	if err := cl.Catalog().WaitForEpoch(ep, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sys.KillAll()
-	if _, err := sys.RecoverAll(ctx); err != nil {
+	cl.KillAll()
+	if _, err := cl.RecoverAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := ref.Get().Delivered()
@@ -186,23 +189,16 @@ func TestTMICheckpointAndRecover(t *testing.T) {
 // exactly-once for one app spec.
 func recoverySmoke(t *testing.T, spec cluster.AppSpec, col *metrics.Collector, ref *SinkRef, minFlow uint64) {
 	t.Helper()
-	sys, err := core.NewSystem(core.Options{
-		App:       spec,
-		Scheme:    spe.MSSrcAP,
-		Nodes:     3,
-		TimeScale: 0,
-		TickEvery: time.Millisecond,
-		Seed:      1,
-	})
+	cl, err := cluster.New(testConfig(spec, spe.MSSrcAP, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	deadline := time.Now().Add(20 * time.Second)
 	for col.Count() < minFlow && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -210,12 +206,12 @@ func recoverySmoke(t *testing.T, spec cluster.AppSpec, col *metrics.Collector, r
 	if col.Count() < minFlow {
 		t.Fatalf("%s: warmup starved (%d deliveries)", spec.Name, col.Count())
 	}
-	ep := sys.TriggerCheckpoint()
-	if err := sys.WaitForEpoch(ep, 20*time.Second); err != nil {
+	ep := cl.Controller().TriggerCheckpoint()
+	if err := cl.Catalog().WaitForEpoch(ep, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	sys.KillAll()
-	if _, err := sys.RecoverAll(ctx); err != nil {
+	cl.KillAll()
+	if _, err := cl.RecoverAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	before := ref.Get().Delivered()
@@ -249,24 +245,18 @@ func TestSGCheckpointAndRecover(t *testing.T) {
 func TestTMIBaselineRunsEndToEnd(t *testing.T) {
 	col := metrics.NewCollector()
 	cfg := TMISmall(col)
-	sys, err := core.NewSystem(core.Options{
-		App:              TMI(cfg),
-		Scheme:           spe.Baseline,
-		Nodes:            3,
-		TimeScale:        0,
-		TickEvery:        time.Millisecond,
-		CheckpointPeriod: 50 * time.Millisecond,
-		Seed:             1,
-	})
+	ccfg := testConfig(TMI(cfg), spe.Baseline, 3)
+	ccfg.CkptPeriod = 50 * time.Millisecond
+	cl, err := cluster.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	deadline := time.Now().Add(20 * time.Second)
 	for col.Count() < 5 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -277,7 +267,7 @@ func TestTMIBaselineRunsEndToEnd(t *testing.T) {
 	// Baseline HAUs checkpoint on their own timers.
 	deadline = time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := sys.Catalog().LatestEpochFor("A0"); ok {
+		if _, ok := cl.Catalog().LatestEpochFor("A0"); ok {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

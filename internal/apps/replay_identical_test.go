@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"meteorshower/internal/cluster"
-	"meteorshower/internal/core"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/operator"
 	"meteorshower/internal/spe"
@@ -20,23 +19,16 @@ import (
 // failed+recovered run must reproduce the unfailed one exactly.
 func runToQuiescence(t *testing.T, spec cluster.AppSpec, col *metrics.Collector, ref *SinkRef, failMidway bool) operator.SinkReport {
 	t.Helper()
-	sys, err := core.NewSystem(core.Options{
-		App:       spec,
-		Scheme:    spe.MSSrcAP,
-		Nodes:     3,
-		TimeScale: 0,
-		TickEvery: time.Millisecond,
-		Seed:      1,
-	})
+	cl, err := cluster.New(testConfig(spec, spe.MSSrcAP, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 
 	deadline := time.Now().Add(20 * time.Second)
 	for col.Count() < 5 && time.Now().Before(deadline) {
@@ -47,12 +39,12 @@ func runToQuiescence(t *testing.T, spec cluster.AppSpec, col *metrics.Collector,
 	}
 
 	if failMidway {
-		ep := sys.TriggerCheckpoint()
-		if err := sys.WaitForEpoch(ep, 20*time.Second); err != nil {
+		ep := cl.Controller().TriggerCheckpoint()
+		if err := cl.Catalog().WaitForEpoch(ep, 20*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		sys.KillAll()
-		if _, err := sys.RecoverAllWithRetry(ctx, 3, 10*time.Millisecond); err != nil {
+		cl.KillAll()
+		if _, err := cl.RecoverAllWithRetry(ctx, 3, 10*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}

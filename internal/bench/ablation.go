@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"meteorshower/internal/apps"
-	"meteorshower/internal/core"
+	"meteorshower/internal/cluster"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
@@ -49,30 +49,30 @@ func runWithMemCap(p Params, kind AppKind, memCap int64) (Cell, error) {
 	col := metrics.NewCollector()
 	ref := &apps.SinkRef{}
 	spec := BuildApp(kind, p, col, ref)
-	sys, err := core.NewSystem(core.Options{
-		App:              spec,
-		Scheme:           spe.Baseline,
-		Nodes:            p.Nodes,
-		CheckpointPeriod: p.Window / 3,
-		LocalDisk:        p.LocalDisk,
-		SharedDisk:       p.SharedDisk,
-		TickEvery:        time.Millisecond,
-		PreserveMemCap:   memCap,
-		SourceFlush:      2 << 10,
-		Seed:             p.Seed,
+	cl, err := cluster.New(cluster.Config{
+		App:            spec,
+		Scheme:         spe.Baseline,
+		Nodes:          p.Nodes,
+		CkptPeriod:     p.Window / 3,
+		LocalDiskSpec:  p.LocalDisk,
+		SharedSpec:     p.SharedDisk,
+		TickEvery:      time.Millisecond,
+		PreserveMemCap: memCap,
+		SourceFlush:    2 << 10,
+		Seed:           p.Seed,
 	})
 	if err != nil {
 		return Cell{}, err
 	}
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		return Cell{}, err
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
-	base := sys.Cluster().ProcessedTotal()
+	base := cl.ProcessedTotal()
 	start := time.Now()
 	sleepCtx(ctx, p.Window)
-	n := sys.Cluster().ProcessedTotal() - base
+	n := cl.ProcessedTotal() - base
 	return Cell{TuplesPerMS: float64(n) / float64(time.Since(start).Milliseconds())}, nil
 }
 
@@ -157,28 +157,28 @@ func runWithSourceFlush(p Params, kind AppKind, flush int64) (Cell, error) {
 	col := metrics.NewCollector()
 	ref := &apps.SinkRef{}
 	spec := BuildApp(kind, p, col, ref)
-	sys, err := core.NewSystem(core.Options{
-		App:         spec,
-		Scheme:      spe.MSSrcAP,
-		Nodes:       p.Nodes,
-		LocalDisk:   p.LocalDisk,
-		SharedDisk:  p.SharedDisk,
-		TickEvery:   time.Millisecond,
-		SourceFlush: flush,
-		Seed:        p.Seed,
+	cl, err := cluster.New(cluster.Config{
+		App:           spec,
+		Scheme:        spe.MSSrcAP,
+		Nodes:         p.Nodes,
+		LocalDiskSpec: p.LocalDisk,
+		SharedSpec:    p.SharedDisk,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   flush,
+		Seed:          p.Seed,
 	})
 	if err != nil {
 		return Cell{}, err
 	}
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		return Cell{}, err
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
-	base := sys.Cluster().ProcessedTotal()
+	base := cl.ProcessedTotal()
 	start := time.Now()
 	sleepCtx(ctx, p.Window)
-	n := sys.Cluster().ProcessedTotal() - base
+	n := cl.ProcessedTotal() - base
 	return Cell{TuplesPerMS: float64(n) / float64(time.Since(start).Milliseconds())}, nil
 }
 
@@ -212,12 +212,12 @@ func runDeltaOnce(p Params, kind AppKind, useDelta bool) (int64, time.Duration, 
 	col := metrics.NewCollector()
 	ref := &apps.SinkRef{}
 	spec := BuildApp(kind, p, col, ref)
-	sys, err := core.NewSystem(core.Options{
+	cl, err := cluster.New(cluster.Config{
 		App:             spec,
 		Scheme:          spe.MSSrcAP,
 		Nodes:           p.Nodes,
-		LocalDisk:       p.LocalDisk,
-		SharedDisk:      p.SharedDisk,
+		LocalDiskSpec:   p.LocalDisk,
+		SharedSpec:      p.SharedDisk,
 		TickEvery:       time.Millisecond,
 		SourceFlush:     64 << 10,
 		Seed:            p.Seed,
@@ -226,22 +226,22 @@ func runDeltaOnce(p Params, kind AppKind, useDelta bool) (int64, time.Duration, 
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		return 0, 0, err
 	}
-	defer sys.Stop()
+	defer cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
 	// Two closely spaced epochs: the second is where deltas win.
-	ep1 := sys.TriggerCheckpoint()
-	if err := sys.WaitForEpoch(ep1, 30*time.Second); err != nil {
+	ep1 := cl.Controller().TriggerCheckpoint()
+	if err := cl.Catalog().WaitForEpoch(ep1, 30*time.Second); err != nil {
 		return 0, 0, err
 	}
 	sleepCtx(ctx, p.Window/8)
-	ep2 := sys.TriggerCheckpoint()
-	if err := sys.WaitForEpoch(ep2, 30*time.Second); err != nil {
+	ep2 := cl.Controller().TriggerCheckpoint()
+	if err := cl.Catalog().WaitForEpoch(ep2, 30*time.Second); err != nil {
 		return 0, 0, err
 	}
-	st, ok := sys.Controller().Stat(ep2)
+	st, ok := cl.Controller().Stat(ep2)
 	if !ok {
 		return 0, 0, fmt.Errorf("bench: epoch %d stats missing", ep2)
 	}
@@ -249,8 +249,8 @@ func runDeltaOnce(p Params, kind AppKind, useDelta bool) (int64, time.Duration, 
 	for _, b := range st.Breakdown {
 		bytes += b.StateBytes
 	}
-	sys.KillAll()
-	stats, err := sys.RecoverAll(ctx)
+	cl.KillAll()
+	stats, err := cl.RecoverAll(ctx)
 	if err != nil {
 		return 0, 0, err
 	}

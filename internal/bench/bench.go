@@ -23,7 +23,6 @@ import (
 	"meteorshower/internal/apps"
 	"meteorshower/internal/cluster"
 	"meteorshower/internal/controller"
-	"meteorshower/internal/core"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
@@ -148,7 +147,7 @@ type Cell struct {
 
 // runner bundles a started system for one cell.
 type runner struct {
-	sys *core.System
+	cl  *cluster.Cluster
 	col *metrics.Collector
 	ref *apps.SinkRef
 }
@@ -158,26 +157,26 @@ func startSystem(ctx context.Context, p Params, kind AppKind, scheme spe.Scheme,
 	col := metrics.NewCollector()
 	ref := &apps.SinkRef{}
 	spec := BuildApp(kind, p, col, ref)
-	sys, err := core.NewSystem(core.Options{
-		App:              spec,
-		Scheme:           scheme,
-		Nodes:            p.Nodes,
-		CheckpointPeriod: period,
-		LocalDisk:        p.LocalDisk,
-		SharedDisk:       p.SharedDisk,
-		TickEvery:        time.Millisecond,
-		PreserveMemCap:   50 << 10, // the paper's 50 MB, scaled
-		SourceFlush:      64 << 10, // group commit for high-volume sources
-		EdgeBuffer:       64,       // small in-flight window: backpressure bites
-		Seed:             p.Seed,
+	cl, err := cluster.New(cluster.Config{
+		App:            spec,
+		Scheme:         scheme,
+		Nodes:          p.Nodes,
+		CkptPeriod:     period,
+		LocalDiskSpec:  p.LocalDisk,
+		SharedSpec:     p.SharedDisk,
+		TickEvery:      time.Millisecond,
+		PreserveMemCap: 50 << 10, // the paper's 50 MB, scaled
+		SourceFlush:    64 << 10, // group commit for high-volume sources
+		EdgeBuffer:     64,       // small in-flight window: backpressure bites
+		Seed:           p.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		return nil, err
 	}
-	return &runner{sys: sys, col: col, ref: ref}, nil
+	return &runner{cl: cl, col: col, ref: ref}, nil
 }
 
 // MeasureReps is how many consecutive windows each grid cell measures; the
@@ -201,17 +200,17 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 	if err != nil {
 		return Cell{}, err
 	}
-	defer r.sys.Stop()
+	defer r.cl.StopAll()
 
 	// Warmup; for the application-aware scheme this doubles as the
 	// profiling phase (§III-C2).
 	if scheme.ApplicationAware() && period > 0 {
-		r.sys.Profile(ctx, p.Warmup)
+		r.cl.Controller().ProfileApplication(ctx, p.Warmup)
 	} else {
 		sleepCtx(ctx, p.Warmup)
 	}
 	if period > 0 {
-		r.sys.StartController(ctx)
+		r.cl.StartController(ctx)
 	}
 
 	reps := MeasureReps
@@ -223,7 +222,7 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 	p99s := make([]time.Duration, 0, reps)
 	var totalProcessed uint64
 	for i := 0; i < reps; i++ {
-		base := r.sys.Cluster().ProcessedTotal()
+		base := r.cl.ProcessedTotal()
 		r.col.Reset()
 		start := time.Now()
 		if p.Quick && nCkpts > 0 && scheme.UsesTokens() && !scheme.ApplicationAware() {
@@ -233,18 +232,18 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 			// bounds a stuck controller. The baseline has no controller
 			// epochs, and the application-aware scheme picks its own
 			// instants, so both keep the wall-clock window.
-			waitUntil(quickDeadline*p.Window, func() bool { return completedEpochs(r.sys) >= nCkpts })
+			waitUntil(quickDeadline*p.Window, func() bool { return completedEpochs(r.cl.Controller()) >= nCkpts })
 		} else {
 			sleepCtx(ctx, p.Window)
 		}
-		processed := r.sys.Cluster().ProcessedTotal() - base
+		processed := r.cl.ProcessedTotal() - base
 		totalProcessed += processed
 		tputs = append(tputs, float64(processed)/float64(time.Since(start).Milliseconds()))
 		lats = append(lats, r.col.MeanLatency())
 		p99s = append(p99s, r.col.Quantile(0.99))
 	}
 
-	completed := completedEpochs(r.sys)
+	completed := completedEpochs(r.cl.Controller())
 	return Cell{
 		App:         kind.String(),
 		Scheme:      scheme.String(),
@@ -261,9 +260,9 @@ func RunCell(p Params, kind AppKind, scheme spe.Scheme, nCkpts int) (Cell, error
 const quickDeadline = 20
 
 // completedEpochs counts the checkpoint epochs the controller completed.
-func completedEpochs(sys *core.System) int {
+func completedEpochs(ctrl *controller.Controller) int {
 	n := 0
-	for _, st := range sys.Controller().EpochStats() {
+	for _, st := range ctrl.EpochStats() {
 		if st.Complete {
 			n++
 		}
@@ -324,8 +323,8 @@ func waitUntil(timeout time.Duration, cond func() bool) bool {
 }
 
 // waitEpoch waits for epoch to complete and returns its stats.
-func waitEpoch(sys *core.System, epoch uint64, timeout time.Duration) (controller.EpochStat, error) {
-	if err := sys.WaitForEpoch(epoch, timeout); err != nil {
+func waitEpoch(cl *cluster.Cluster, epoch uint64, timeout time.Duration) (controller.EpochStat, error) {
+	if err := cl.Catalog().WaitForEpoch(epoch, timeout); err != nil {
 		return controller.EpochStat{}, err
 	}
 	// The catalog completes before the last listener callback lands; give
@@ -333,7 +332,7 @@ func waitEpoch(sys *core.System, epoch uint64, timeout time.Duration) (controlle
 	var st controller.EpochStat
 	ok := waitUntil(timeout, func() bool {
 		var found bool
-		st, found = sys.Controller().Stat(epoch)
+		st, found = cl.Controller().Stat(epoch)
 		return found && st.Complete
 	})
 	if !ok {

@@ -80,7 +80,7 @@ func runCheckpointOnce(p Params, kind AppKind, v Variant, after func(*runner)) (
 	if err != nil {
 		return Fig14Row{}, err
 	}
-	defer r.sys.Stop()
+	defer r.cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
 
 	switch v {
@@ -95,8 +95,8 @@ func runCheckpointOnce(p Params, kind AppKind, v Variant, after func(*runner)) (
 			return totalState(r) <= int64(float64(min)*tol)+1
 		})
 	}
-	ep := r.sys.TriggerCheckpoint()
-	st, err := waitEpoch(r.sys, ep, 30*time.Second)
+	ep := r.cl.Controller().TriggerCheckpoint()
+	st, err := waitEpoch(r.cl, ep, 30*time.Second)
 	if err != nil {
 		return Fig14Row{}, err
 	}
@@ -139,8 +139,8 @@ func observeMinimum(ctx context.Context, r *runner, dur time.Duration) int64 {
 
 func totalState(r *runner) int64 {
 	var total int64
-	for _, id := range r.sys.Cluster().GraphNodes() {
-		if h := r.sys.Cluster().HAU(id); h != nil {
+	for _, id := range r.cl.GraphNodes() {
+		if h := r.cl.HAU(id); h != nil {
 			total += h.CachedStateSize()
 		}
 	}
@@ -192,7 +192,7 @@ func runFig15One(p Params, kind AppKind, v Variant) (Fig15Series, error) {
 	if err != nil {
 		return Fig15Series{}, err
 	}
-	defer r.sys.Stop()
+	defer r.cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
 	r.col.Reset()
 	sleepCtx(ctx, p.Window/8) // pre-checkpoint baseline
@@ -201,8 +201,8 @@ func runFig15One(p Params, kind AppKind, v Variant) (Fig15Series, error) {
 		min := observeMinimum(ctx, r, p.Window/4)
 		waitUntil(p.Window/2, func() bool { return totalState(r) <= int64(float64(min)*1.25)+1 })
 	}
-	ep := r.sys.TriggerCheckpoint()
-	if _, err := waitEpoch(r.sys, ep, 30*time.Second); err != nil {
+	ep := r.cl.Controller().TriggerCheckpoint()
+	if _, err := waitEpoch(r.cl, ep, 30*time.Second); err != nil {
 		return Fig15Series{}, err
 	}
 	sleepCtx(ctx, p.Window/4) // post-checkpoint tail
@@ -266,7 +266,7 @@ func runFig16One(p Params, kind AppKind, v Variant) (Fig16Row, error) {
 	if err != nil {
 		return Fig16Row{}, err
 	}
-	defer r.sys.Stop()
+	defer r.cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
 
 	switch v {
@@ -278,14 +278,14 @@ func runFig16One(p Params, kind AppKind, v Variant) (Fig16Row, error) {
 		}
 		waitUntil(p.Window, func() bool { return totalState(r) <= int64(float64(min)*tol)+1 })
 	}
-	ep := r.sys.TriggerCheckpoint()
-	if _, err := waitEpoch(r.sys, ep, 30*time.Second); err != nil {
+	ep := r.cl.Controller().TriggerCheckpoint()
+	if _, err := waitEpoch(r.cl, ep, 30*time.Second); err != nil {
 		return Fig16Row{}, err
 	}
 	sleepCtx(ctx, p.Window/8)
 
-	r.sys.KillAll()
-	stats, err := r.sys.RecoverAll(ctx)
+	r.cl.KillAll()
+	stats, err := r.cl.RecoverAll(ctx)
 	if err != nil {
 		return Fig16Row{}, err
 	}

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"meteorshower/internal/apps"
-	"meteorshower/internal/core"
+	"meteorshower/internal/cluster"
 	"meteorshower/internal/failure"
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/spe"
@@ -86,30 +86,30 @@ func runSoakOnce(p Params, kind AppKind, scheme spe.Scheme, events []failure.Eve
 	col := metrics.NewCollector()
 	ref := &apps.SinkRef{}
 	spec := BuildApp(kind, p, col, ref)
-	sys, err := core.NewSystem(core.Options{
-		App:              spec,
-		Scheme:           scheme,
-		Nodes:            p.Nodes,
-		CheckpointPeriod: p.Window / 4,
-		LocalDisk:        p.LocalDisk,
-		SharedDisk:       p.SharedDisk,
-		TickEvery:        time.Millisecond,
-		SourceFlush:      64 << 10,
-		Seed:             p.Seed,
+	cl, err := cluster.New(cluster.Config{
+		App:           spec,
+		Scheme:        scheme,
+		Nodes:         p.Nodes,
+		CkptPeriod:    p.Window / 4,
+		LocalDiskSpec: p.LocalDisk,
+		SharedSpec:    p.SharedDisk,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   64 << 10,
+		Seed:          p.Seed,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := sys.Start(ctx); err != nil {
+	if err := cl.Start(ctx); err != nil {
 		return 0, 0, err
 	}
-	defer sys.Stop()
-	sys.StartController(ctx)
+	defer cl.StopAll()
+	cl.StartController(ctx)
 	sleepCtx(ctx, p.Warmup)
 	if len(events) > 0 {
 		// Do not inject before the first application checkpoint exists —
 		// there would be nothing to recover to.
-		if err := sys.WaitForEpoch(1, 30*time.Second); err != nil {
+		if err := cl.Catalog().WaitForEpoch(1, 30*time.Second); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -118,16 +118,16 @@ func runSoakOnce(p Params, kind AppKind, scheme spe.Scheme, events []failure.Eve
 	// Recovery replaces HAU instances (their processed counters restart),
 	// so the delivered count is accumulated segment by segment.
 	var acc uint64
-	base := sys.Cluster().ProcessedTotal()
+	base := cl.ProcessedTotal()
 	if len(events) == 0 {
 		sleepCtx(ctx, total)
-		return sys.Cluster().ProcessedTotal() - base, sinkDupes(ref), nil
+		return cl.ProcessedTotal() - base, sinkDupes(ref), nil
 	}
 
 	gap := total / time.Duration(len(events)+1)
 	for _, e := range events {
 		sleepCtx(ctx, gap)
-		acc += sys.Cluster().ProcessedTotal() - base
+		acc += cl.ProcessedTotal() - base
 		// Map the trace's node set onto the simulated cluster.
 		nodes := make(map[int]bool)
 		for _, n := range e.Nodes {
@@ -137,16 +137,16 @@ func runSoakOnce(p Params, kind AppKind, scheme spe.Scheme, events []failure.Eve
 		for n := range nodes {
 			idxs = append(idxs, n)
 		}
-		sys.KillNodes(idxs)
-		if _, err := sys.RecoverAll(ctx); err != nil {
+		cl.KillNodes(idxs)
+		if _, err := cl.RecoverAll(ctx); err != nil {
 			res.FailedRecov++
 			return acc, sinkDupes(ref), err
 		}
 		res.Recoveries++
-		base = sys.Cluster().ProcessedTotal()
+		base = cl.ProcessedTotal()
 	}
 	sleepCtx(ctx, gap)
-	acc += sys.Cluster().ProcessedTotal() - base
+	acc += cl.ProcessedTotal() - base
 	return acc, sinkDupes(ref), nil
 }
 

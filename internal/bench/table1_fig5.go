@@ -93,7 +93,7 @@ func runFig5One(p Params, kind AppKind) (Fig5Trace, error) {
 	if err != nil {
 		return Fig5Trace{}, err
 	}
-	defer r.sys.Stop()
+	defer r.cl.StopAll()
 	sleepCtx(ctx, p.Warmup)
 
 	tr := Fig5Trace{App: kind.String(), Min: 1 << 62}
@@ -101,7 +101,7 @@ func runFig5One(p Params, kind AppKind) (Fig5Trace, error) {
 	for time.Since(start) < p.Window {
 		var total int64
 		for _, id := range nodeIDs(r) {
-			if h := r.sys.Cluster().HAU(id); h != nil {
+			if h := r.cl.HAU(id); h != nil {
 				total += h.CachedStateSize()
 			}
 		}
@@ -128,7 +128,7 @@ func runFig5One(p Params, kind AppKind) (Fig5Trace, error) {
 }
 
 func nodeIDs(r *runner) []string {
-	return r.sys.Cluster().GraphNodes()
+	return r.cl.GraphNodes()
 }
 
 // FprintFig5 prints per-app state-size envelopes and a coarse trace.

@@ -248,18 +248,11 @@ type Round struct {
 
 // Result is a finished chaos run plus both oracle verdicts.
 type Result struct {
-	Topology   Topology
-	Seed       int64
-	Nodes      int
-	Rounds     int // planned rounds (RoundList may be shorter if a round errored)
-	Scheme     spe.Scheme
-	Placement  string
-	Migrations bool
-	Rescales   bool
-	Rebalances bool
-	Elastic    bool
-	HA         bool
-	RoundList  []Round
+	// Config is the configuration the run used, defaults filled in.
+	// Config.Rounds is the planned count; RoundList may be shorter if a
+	// round errored.
+	Config    Config
+	RoundList []Round
 	// Report is the chaos run's terminal sink state; Reference is the
 	// single-threaded replay's.
 	Report     operator.SinkReport
@@ -293,29 +286,40 @@ func (r *Result) Err() error {
 }
 
 // ReplayCommand returns the CLI invocation reproducing this run's
-// schedule.
+// schedule: every Config field mschaos has a flag for, which is all of
+// them but Logf and Points.
 func (r *Result) ReplayCommand() string {
+	c := r.Config
 	cmd := fmt.Sprintf("go run ./cmd/mschaos -topology %s -seed %d -rounds %d -nodes %d",
-		r.Topology, r.Seed, r.Rounds, r.Nodes)
-	if r.Scheme != spe.MSSrcAP && r.Scheme != 0 {
-		cmd += fmt.Sprintf(" -scheme %s", SchemeFlag(r.Scheme))
+		c.Topology, c.Seed, c.Rounds, c.Nodes)
+	if c.Scheme != spe.MSSrcAP && c.Scheme != 0 {
+		cmd += fmt.Sprintf(" -scheme %s", SchemeFlag(c.Scheme))
 	}
-	if r.Placement != "" {
-		cmd += fmt.Sprintf(" -placement %s", r.Placement)
+	if c.SourceLimit != 0 {
+		cmd += fmt.Sprintf(" -limit %d", c.SourceLimit)
 	}
-	if r.Migrations {
+	if c.Profile.Name == failure.AbeCluster().Name {
+		cmd += " -abe"
+	}
+	if c.Placement != "" {
+		cmd += fmt.Sprintf(" -placement %s", c.Placement)
+	}
+	if c.NodesPerRack != 0 {
+		cmd += fmt.Sprintf(" -nodes-per-rack %d", c.NodesPerRack)
+	}
+	if c.Migrations {
 		cmd += " -migrate"
 	}
-	if r.Rescales {
+	if c.Rescales {
 		cmd += " -rescale"
 	}
-	if r.Rebalances {
+	if c.Rebalances {
 		cmd += " -rebalance"
 	}
-	if r.Elastic {
+	if c.Elastic {
 		cmd += " -elastic"
 	}
-	if r.HA {
+	if c.HA {
 		cmd += " -ha"
 	}
 	return cmd
@@ -359,7 +363,7 @@ func ParseScheme(s string) (spe.Scheme, error) {
 // String summarizes the run for logs.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "topology=%s seed=%d nodes=%d rounds=%d", r.Topology, r.Seed, r.Nodes, len(r.RoundList))
+	fmt.Fprintf(&b, "topology=%s seed=%d nodes=%d rounds=%d", r.Config.Topology, r.Config.Seed, r.Config.Nodes, len(r.RoundList))
 	for i, rd := range r.RoundList {
 		fmt.Fprintf(&b, "\n  round %d: kill %v at %s", i, rd.Burst, rd.Point)
 		if len(rd.SecondBurst) > 0 {
@@ -433,11 +437,7 @@ func (r *Result) String() string {
 // the Result — check Result.Err().
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.defaults()
-	res := &Result{
-		Topology: cfg.Topology, Seed: cfg.Seed, Nodes: cfg.Nodes, Rounds: cfg.Rounds,
-		Scheme: cfg.Scheme, Placement: cfg.Placement, Migrations: cfg.Migrations, Rescales: cfg.Rescales,
-		Rebalances: cfg.Rebalances, Elastic: cfg.Elastic, HA: cfg.HA,
-	}
+	res := &Result{Config: cfg}
 	var pol placement.Policy
 	if cfg.Placement != "" {
 		p, err := placement.Parse(cfg.Placement)

@@ -162,7 +162,7 @@ func TestChaosHAReproducible(t *testing.T) {
 // failure output must name the -ha flag, or the printed command would
 // replay a different (smaller) sample space.
 func TestChaosHAReplayCommand(t *testing.T) {
-	res := &Result{Topology: Chain, Seed: 5, Rounds: 3, Nodes: 4, HA: true}
+	res := &Result{Config: Config{Topology: Chain, Seed: 5, Rounds: 3, Nodes: 4, HA: true}}
 	cmd := res.ReplayCommand()
 	if !strings.Contains(cmd, " -ha") {
 		t.Fatalf("replay command %q does not carry -ha", cmd)

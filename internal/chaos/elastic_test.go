@@ -151,7 +151,7 @@ func TestChaosElasticReproducible(t *testing.T) {
 // run's failure output must name the -elastic flag, or the printed command
 // would replay a different (smaller) sample space.
 func TestChaosElasticReplayCommand(t *testing.T) {
-	res := &Result{Topology: Chain, Seed: 5, Rounds: 3, Nodes: 4, Elastic: true}
+	res := &Result{Config: Config{Topology: Chain, Seed: 5, Rounds: 3, Nodes: 4, Elastic: true}}
 	cmd := res.ReplayCommand()
 	if !strings.Contains(cmd, " -elastic") {
 		t.Fatalf("replay command %q does not carry -elastic", cmd)

@@ -71,7 +71,7 @@ func TestChaosUnalignedMidChannelLogKill(t *testing.T) {
 // or the schedule (whose sample space includes mid-channel-log) could not
 // replay.
 func TestChaosUnalignedReplayCommand(t *testing.T) {
-	r := &Result{Topology: Chain, Seed: 7, Rounds: 3, Nodes: 4, Scheme: spe.MSSrcAPU}
+	r := &Result{Config: Config{Topology: Chain, Seed: 7, Rounds: 3, Nodes: 4, Scheme: spe.MSSrcAPU}}
 	cmd := r.ReplayCommand()
 	want := "go run ./cmd/mschaos -topology chain -seed 7 -rounds 3 -nodes 4 -scheme ms-src+ap+unaligned"
 	if cmd != want {

@@ -435,12 +435,10 @@ func New(cfg Config) (*Cluster, error) {
 			Hysteresis: cfg.RebalanceHysteresis,
 			MaxMoves:   cfg.RebalanceMaxMoves,
 		})
-		ctrlCfg.Rebalance = cl.rebal.Step
-		ctrlCfg.RebalanceEvery = cfg.RebalanceEvery
+		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.RebalanceEvery, Step: cl.rebal.Step})
 	}
 	if cfg.AutoscaleEvery > 0 {
-		ctrlCfg.Autoscale = cl.autoscaleStep
-		ctrlCfg.AutoscaleEvery = cfg.AutoscaleEvery
+		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.AutoscaleEvery, Step: cl.autoscaleStep})
 	}
 	if cfg.ElasticEvery > 0 {
 		ecfg := cfg.Elastic
@@ -462,8 +460,7 @@ func New(cfg Config) (*Cluster, error) {
 			hooks.RankDrain = cl.rankDrainCandidates
 		}
 		cl.elastic = elastic.NewEngine(ecfg, hooks)
-		ctrlCfg.Elastic = cl.elastic.Step
-		ctrlCfg.ElasticEvery = cfg.ElasticEvery
+		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.ElasticEvery, Step: cl.elastic.Step})
 	}
 	if cfg.HAEvery > 0 {
 		rcfg := replica.Config{
@@ -476,8 +473,7 @@ func New(cfg Config) (*Cluster, error) {
 			rcfg.Cooldown = 2 * cfg.HAEvery
 		}
 		cl.haPlanner = replica.New(rcfg)
-		ctrlCfg.HA = cl.haStep
-		ctrlCfg.HAEvery = cfg.HAEvery
+		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.HAEvery, Step: cl.haStep})
 	}
 	if cfg.ArbiterEvery > 0 && multi && len(cl.apps) > 1 {
 		cl.arb = tenant.NewArbiter(tenant.Config{
@@ -485,8 +481,7 @@ func New(cfg Config) (*Cluster, error) {
 			MaxMoves: cfg.ArbiterMaxMoves,
 			Logf:     cfg.Logf,
 		})
-		ctrlCfg.Arbiter = cl.arbiterStep
-		ctrlCfg.ArbiterEvery = cfg.ArbiterEvery
+		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.ArbiterEvery, Step: cl.arbiterStep})
 	}
 	for i, a := range cl.apps {
 		if i == 0 {
@@ -935,8 +930,13 @@ func (cl *Cluster) KillNode(idx int) {
 			dead = append(dead, id)
 		}
 	}
+	// Fence before cancelling: a checkpoint a dead HAU captured but has not
+	// begun to save must not complete an epoch the recovery then restores.
 	cancels := make([]context.CancelFunc, 0, len(dead))
 	for _, id := range dead {
+		if h := cl.haus[id]; h != nil {
+			h.Fence()
+		}
 		if c := cl.cancels[id]; c != nil {
 			cancels = append(cancels, c)
 		}
@@ -955,6 +955,7 @@ func (cl *Cluster) KillNode(idx int) {
 		if sb.node != idx {
 			continue
 		}
+		sb.h.Fence()
 		cancels = append(cancels, sb.cancel)
 		if uh := cl.haus[sb.up]; uh != nil {
 			drops = append(drops, teeDrop{uh, sb.upPort, sb.mirror})

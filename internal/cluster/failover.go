@@ -547,7 +547,7 @@ func (cl *Cluster) HybridRecover(ctx context.Context) (failovers int, rolledBack
 
 // haStep is the controller's HA tick: feed the replica planner the
 // current per-HAU stats and execute at most one mode change. Installed as
-// controller.Config.HA when Config.HAEvery is set.
+// a controller.Loop when Config.HAEvery is set.
 func (cl *Cluster) haStep() (int, error) {
 	cl.mu.Lock()
 	if !cl.started || cl.haPlanner == nil {

@@ -209,24 +209,18 @@ func (cl *Cluster) SplitHAUWeighted(ctx context.Context, id string, n int, w par
 	if n < 2 {
 		return RescaleStats{}, fmt.Errorf("cluster: split needs at least 2 replicas, got %d", n)
 	}
-	return cl.RescaleHAUWeighted(ctx, id, n, w)
-}
-
-// MergeHAU merges a split operator back into a single HAU: the replicas'
-// slot tables are concatenated and the key routers removed.
-func (cl *Cluster) MergeHAU(ctx context.Context, id string) (RescaleStats, error) {
-	return cl.RescaleHAU(ctx, id, 1)
-}
-
-// RescaleHAUWeighted is RescaleHAU with per-slot load weights driving the
-// new slot assignment. Nil weights fall back to the observed load.
-func (cl *Cluster) RescaleHAUWeighted(ctx context.Context, id string, n int, w partition.Weights) (RescaleStats, error) {
 	if w == nil {
 		cl.mu.Lock()
 		w = cl.observedWeightsLocked(id)
 		cl.mu.Unlock()
 	}
 	return cl.rescaleHAU(ctx, id, n, w, false)
+}
+
+// MergeHAU merges a split operator back into a single HAU: the replicas'
+// slot tables are concatenated and the key routers removed.
+func (cl *Cluster) MergeHAU(ctx context.Context, id string) (RescaleStats, error) {
+	return cl.RescaleHAU(ctx, id, 1)
 }
 
 // RebalanceHAU redistributes slots between a split operator's EXISTING
@@ -317,7 +311,7 @@ func (cl *Cluster) RescaleHAU(ctx context.Context, id string, n int) (RescaleSta
 	return cl.rescaleHAU(ctx, id, n, nil, false)
 }
 
-// rescaleHAU is the shared core behind RescaleHAU, RescaleHAUWeighted and
+// rescaleHAU is the shared core behind RescaleHAU, SplitHAUWeighted and
 // RebalanceHAU. Weights (when non-empty) drive the new slot assignment so
 // replicas equalize load rather than slot counts; rebalance keeps the
 // replica count (n is ignored) and only shifts slot ownership between

@@ -49,45 +49,9 @@ type Config struct {
 	// turn out to be lost or corrupted.
 	RetainEpochs int
 
-	// Rebalance, when set, is invoked every RebalanceEvery by the Run
-	// loop (the cluster wires it to a placement.Rebalancer.Step). It is
-	// skipped while checkpoints are paused, while a failure incident is
-	// open, and while a previous invocation is still running.
-	Rebalance func() (int, error)
-	// RebalanceEvery enables the rebalancer tick. Zero disables it.
-	RebalanceEvery time.Duration
-
-	// Autoscale, when set, is invoked every AutoscaleEvery (the cluster
-	// wires it to its hot/cold split-merge detector). Same skip rules as
-	// Rebalance: not while paused, failed, or a previous step is running.
-	Autoscale func() (int, error)
-	// AutoscaleEvery enables the autoscaler tick. Zero disables it.
-	AutoscaleEvery time.Duration
-
-	// Elastic, when set, is invoked every ElasticEvery (the cluster wires
-	// it to the elasticity engine's Step: sample node utilization, maybe
-	// add or drain a node). Same skip rules as Rebalance: not while
-	// paused, failed, or a previous step is running.
-	Elastic func() (int, error)
-	// ElasticEvery enables the elasticity tick. Zero disables it.
-	ElasticEvery time.Duration
-
-	// HA, when set, is invoked every HAEvery (the cluster wires it to the
-	// replica planner's step: protect the hottest HAUs with active
-	// standbys, demote cold ones). Same skip rules as Rebalance: not while
-	// paused, failed, or a previous step is running.
-	HA func() (int, error)
-	// HAEvery enables the replication-policy tick. Zero disables it.
-	HAEvery time.Duration
-
-	// Arbiter, when set, is invoked every ArbiterEvery (the cluster wires
-	// it to the multi-tenant fair-share arbiter's step: compute per-app
-	// shares and migrate stranded HAUs onto their app's nodes). Same skip
-	// rules as Rebalance: not while paused, failed, or a previous step is
-	// running.
-	Arbiter func() (int, error)
-	// ArbiterEvery enables the fair-share tick. Zero disables it.
-	ArbiterEvery time.Duration
+	// Loops are the fleet policy loops (rebalancer, autoscaler,
+	// elasticity, HA planner, fair-share arbiter) the Run loop drives.
+	Loops []Loop
 
 	// PingEvery is the failure-detection poll interval.
 	PingEvery time.Duration
@@ -98,6 +62,19 @@ type Config struct {
 	OnFailure func(dead []string)
 
 	Now func() int64
+}
+
+// Loop is one periodic fleet policy. Run gives each loop with a positive
+// Every and a non-nil Step its own goroutine, which calls Step once per
+// tick. A tick is skipped while a failure incident is open or when
+// checkpoints were already paused as it fired, and a tick that lands while
+// Step is still running is dropped: a step may block for a live
+// migration's drain, and failure pings and checkpoint triggers keep
+// flowing meanwhile. A failed step is retried from fresh measurements on
+// the next tick.
+type Loop struct {
+	Every time.Duration
+	Step  func() (int, error)
 }
 
 // EpochStat aggregates one application checkpoint for reporting (Fig. 14).
@@ -147,12 +124,8 @@ type Controller struct {
 	profAgg    *statesize.Aggregator
 	lastPrune  uint64
 	failed     bool
-	paused     int  // PauseCheckpoints nesting depth
-	rebalBusy  bool // a Rebalance invocation is in flight
-	scaleBusy  bool // an Autoscale invocation is in flight
-	elasBusy   bool // an Elastic invocation is in flight
-	haBusy     bool // an HA invocation is in flight
-	arbBusy    bool // an Arbiter invocation is in flight
+	paused     int       // PauseCheckpoints nesting depth
+	pausedAt   time.Time // when the outermost pause began
 
 	tpCh chan tpEvent
 	done chan struct{}
@@ -270,6 +243,9 @@ func (c *Controller) InAlertMode() bool {
 // migration tokens never interleave with checkpoint tokens.
 func (c *Controller) PauseCheckpoints() {
 	c.mu.Lock()
+	if c.paused == 0 {
+		c.pausedAt = time.Now()
+	}
 	c.paused++
 	c.mu.Unlock()
 }
@@ -430,36 +406,11 @@ func (c *Controller) Run(ctx context.Context) {
 	}
 	pingTick = time.NewTicker(c.cfg.PingEvery)
 	defer pingTick.Stop()
-	rebalEvery := c.cfg.RebalanceEvery
-	if c.cfg.Rebalance == nil || rebalEvery <= 0 {
-		rebalEvery = time.Hour
+	for _, l := range c.cfg.Loops {
+		if l.Every > 0 && l.Step != nil {
+			go c.runLoop(ctx, l)
+		}
 	}
-	rebalTick := time.NewTicker(rebalEvery)
-	defer rebalTick.Stop()
-	scaleEvery := c.cfg.AutoscaleEvery
-	if c.cfg.Autoscale == nil || scaleEvery <= 0 {
-		scaleEvery = time.Hour
-	}
-	scaleTick := time.NewTicker(scaleEvery)
-	defer scaleTick.Stop()
-	elasEvery := c.cfg.ElasticEvery
-	if c.cfg.Elastic == nil || elasEvery <= 0 {
-		elasEvery = time.Hour
-	}
-	elasTick := time.NewTicker(elasEvery)
-	defer elasTick.Stop()
-	haEvery := c.cfg.HAEvery
-	if c.cfg.HA == nil || haEvery <= 0 {
-		haEvery = time.Hour
-	}
-	haTick := time.NewTicker(haEvery)
-	defer haTick.Stop()
-	arbEvery := c.cfg.ArbiterEvery
-	if c.cfg.Arbiter == nil || arbEvery <= 0 {
-		arbEvery = time.Hour
-	}
-	arbTick := time.NewTicker(arbEvery)
-	defer arbTick.Stop()
 
 	aa := c.cfg.Scheme.ApplicationAware()
 	if aa {
@@ -499,155 +450,37 @@ func (c *Controller) Run(ctx context.Context) {
 			c.onTurningPoint(ev)
 		case <-pingTick.C:
 			c.pingNodes()
-		case <-rebalTick.C:
-			c.maybeRebalance()
-		case <-scaleTick.C:
-			c.maybeAutoscale()
-		case <-elasTick.C:
-			c.maybeElastic()
-		case <-haTick.C:
-			c.maybeHA()
-		case <-arbTick.C:
-			c.maybeArbiter()
 		}
 	}
 }
 
-// maybeArbiter runs one fair-share arbitration step on its own goroutine
-// (executing a planned move blocks for a live migration drain, and failure
-// pings must keep flowing meanwhile). Skipped while a failure incident is
-// open, while checkpoints are paused, and while a previous step is still
-// running.
-func (c *Controller) maybeArbiter() {
-	c.mu.Lock()
-	fn := c.cfg.Arbiter
-	skip := fn == nil || c.arbBusy || c.failed || c.paused > 0
-	if !skip {
-		c.arbBusy = true
-	}
-	c.mu.Unlock()
-	if skip {
-		return
-	}
-	go func() {
-		defer func() {
+// runLoop drives one policy loop until ctx is cancelled. Step runs inline,
+// so no tick that lands while it is still running starts another step.
+func (c *Controller) runLoop(ctx context.Context, l Loop) {
+	tick := time.NewTicker(l.Every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case at := <-tick.C:
+			// A tick is judged by the state it fired into: a pause that a
+			// sibling loop's step began after that, on the same tick, does
+			// not skip it, whichever goroutine runs first.
 			c.mu.Lock()
-			c.arbBusy = false
+			skip := c.failed || (c.paused > 0 && !c.pausedAt.After(at))
 			c.mu.Unlock()
-		}()
-		// A failed step (a planned move lost a race with a recovery) is
-		// retried from fresh shares on the next tick.
-		_, _ = fn()
-	}()
-}
-
-// maybeHA runs one replication-policy step on its own goroutine (arming a
-// standby blocks for a quiesce epoch and a state-clone drain, and failure
-// pings must keep flowing meanwhile). Skipped while a failure incident is
-// open, while checkpoints are paused, and while a previous step is still
-// running.
-func (c *Controller) maybeHA() {
-	c.mu.Lock()
-	fn := c.cfg.HA
-	skip := fn == nil || c.haBusy || c.failed || c.paused > 0
-	if !skip {
-		c.haBusy = true
+			if skip || ctx.Err() != nil {
+				continue // a tick racing cancellation starts no step
+			}
+			_, _ = l.Step()
+			// Drop the tick that landed while Step ran.
+			select {
+			case <-tick.C:
+			default:
+			}
+		}
 	}
-	c.mu.Unlock()
-	if skip {
-		return
-	}
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.haBusy = false
-			c.mu.Unlock()
-		}()
-		// A failed step (quiesce raced a failure, placement fell through)
-		// is retried from fresh metrics on the next tick.
-		_, _ = fn()
-	}()
-}
-
-// maybeElastic runs one elasticity step on its own goroutine (a drain
-// blocks for per-HAU migrations, and failure pings must keep flowing
-// meanwhile). Skipped while a failure incident is open, while checkpoints
-// are paused, and while a previous step is still running.
-func (c *Controller) maybeElastic() {
-	c.mu.Lock()
-	fn := c.cfg.Elastic
-	skip := fn == nil || c.elasBusy || c.failed || c.paused > 0
-	if !skip {
-		c.elasBusy = true
-	}
-	c.mu.Unlock()
-	if skip {
-		return
-	}
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.elasBusy = false
-			c.mu.Unlock()
-		}()
-		// A failed step (drain superseded by a recovery, node died) is
-		// retried from fresh utilization samples on the next tick.
-		_, _ = fn()
-	}()
-}
-
-// maybeAutoscale runs one autoscaler step on its own goroutine (a rescale
-// blocks for the drain, and failure pings must keep flowing meanwhile).
-// Skipped while a failure incident is open, while checkpoints are paused,
-// and while a previous step is still running.
-func (c *Controller) maybeAutoscale() {
-	c.mu.Lock()
-	fn := c.cfg.Autoscale
-	skip := fn == nil || c.scaleBusy || c.failed || c.paused > 0
-	if !skip {
-		c.scaleBusy = true
-	}
-	c.mu.Unlock()
-	if skip {
-		return
-	}
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.scaleBusy = false
-			c.mu.Unlock()
-		}()
-		// A failed step (node died mid-drain, superseded by a recovery) is
-		// retried from fresh size samples on the next tick.
-		_, _ = fn()
-	}()
-}
-
-// maybeRebalance runs one rebalancer step on its own goroutine (a live
-// migration blocks for the drain, and failure pings must keep flowing
-// meanwhile). Skipped while a failure incident is open, while checkpoints
-// are paused, and while a previous step is still running.
-func (c *Controller) maybeRebalance() {
-	c.mu.Lock()
-	fn := c.cfg.Rebalance
-	skip := fn == nil || c.rebalBusy || c.failed || c.paused > 0
-	if !skip {
-		c.rebalBusy = true
-	}
-	c.mu.Unlock()
-	if skip {
-		return
-	}
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.rebalBusy = false
-			c.mu.Unlock()
-		}()
-		// A failed step (destination died mid-move, superseded by a
-		// recovery) is retried from fresh load numbers on the next tick.
-		_, _ = fn()
-	}()
 }
 
 // Done is closed when Run exits.

@@ -255,6 +255,89 @@ func TestFailureDetection(t *testing.T) {
 	<-c.Done()
 }
 
+// TestLoopSkipRules drives one fake policy loop through the three skip
+// rules: no step while checkpoints are paused, none while a failure
+// incident is open, and none started while a previous step still runs.
+func TestLoopSkipRules(t *testing.T) {
+	var alive, block atomic.Bool
+	alive.Store(true)
+	var calls atomic.Int64
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	c := New(Config{
+		Scheme:    spe.MSSrcAP,
+		Catalog:   storage.NewCatalog(fastStore(), nil),
+		PingEvery: time.Millisecond,
+		IsAlive:   func(string) bool { return alive.Load() },
+		OnFailure: func([]string) {},
+		Loops: []Loop{{Every: time.Millisecond, Step: func() (int, error) {
+			calls.Add(1)
+			if block.Load() {
+				entered <- struct{}{}
+				<-release
+			}
+			return 0, nil
+		}}},
+	})
+	c.SetHAUs(map[string]*spe.HAU{"x": nil})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go c.Run(ctx)
+
+	waitMore := func(what string, n int64) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for calls.Load() <= n {
+			if time.Now().After(deadline) {
+				t.Fatalf("loop did not step %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// holds checks that no step starts for a while; the pause before the
+	// sample lets a step begun before the rule took hold finish.
+	holds := func(what string) int64 {
+		t.Helper()
+		time.Sleep(5 * time.Millisecond)
+		n := calls.Load()
+		time.Sleep(30 * time.Millisecond)
+		if got := calls.Load(); got != n {
+			t.Fatalf("%s: %d steps ran, want none", what, got-n)
+		}
+		return n
+	}
+
+	waitMore("at start", 2)
+
+	c.PauseCheckpoints()
+	n := holds("checkpoints paused")
+	c.ResumeCheckpoints()
+	waitMore("after resume", n)
+
+	alive.Store(false)
+	for !c.FailurePending() {
+		time.Sleep(time.Millisecond)
+	}
+	n = holds("failure open")
+	alive.Store(true)
+	c.ClearFailure()
+	waitMore("after ClearFailure", n)
+
+	block.Store(true)
+	select {
+	case <-entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocking step never started")
+	}
+	n = holds("previous step running")
+	block.Store(false)
+	close(release)
+	waitMore("after the blocked step returned", n)
+
+	cancel()
+	<-c.Done()
+}
+
 func TestProfileApplication(t *testing.T) {
 	c := New(Config{
 		Scheme:  spe.MSSrcAPAA,

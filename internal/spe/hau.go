@@ -506,6 +506,8 @@ type HAU struct {
 	failed    atomic.Bool
 	errMu     sync.Mutex
 	err       error
+	// fenced is set by Fence when the HAU's node dies.
+	fenced atomic.Bool
 }
 
 // New validates cfg and returns a ready-to-start HAU.
@@ -680,6 +682,13 @@ func (h *HAU) SetSourceReplay(ts []*tuple.Tuple) {
 func (h *HAU) Start(ctx context.Context) {
 	h.startOnce.Do(func() { go h.run(ctx) })
 }
+
+// Fence stops this HAU from starting any further checkpoint save: its node
+// died, so a captured checkpoint not yet handed to the store must not
+// complete an epoch. A save already in the store finishes, as bytes that
+// left the node before it died would. Call it before cancelling the HAU's
+// context. An orderly stop does not fence, and the queued saves drain.
+func (h *HAU) Fence() { h.fenced.Store(true) }
 
 // WaitWriters blocks until any in-flight asynchronous checkpoint writers
 // finish (used by tests and orderly shutdown).
@@ -1832,6 +1841,10 @@ func (h *HAU) writerLoop() {
 // ownership-transferring path (the flattened blob is fresh and immutable,
 // so the store keeps it without a defensive copy).
 func (h *HAU) writeCheckpoint(job ckptJob) {
+	if h.fenced.Load() {
+		job.snap.release()
+		return
+	}
 	flatStart := time.Now()
 	blob := job.snap.flatten()
 	job.snap.release()

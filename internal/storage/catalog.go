@@ -196,6 +196,21 @@ func (c *Catalog) MostRecentComplete() (uint64, bool) {
 	return c.complete[len(c.complete)-1], true
 }
 
+// WaitForEpoch polls until an application checkpoint at or above epoch
+// is complete, and fails once timeout elapses first.
+func (c *Catalog) WaitForEpoch(epoch uint64, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		if e, ok := c.MostRecentComplete(); ok && e >= epoch {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("catalog: epoch %d did not complete within %s", epoch, timeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // CompleteEpochs returns every complete epoch, newest first. Recovery
 // walks this list when the newest complete checkpoint turns out to be
 // unloadable (lost or corrupted blobs) and an older one must serve.

@@ -203,6 +203,24 @@ func TestCatalogOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
+func TestCatalogWaitForEpoch(t *testing.T) {
+	c := NewCatalog(NewStore(fastSpec()), []string{"h1", "h2"})
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		c.SaveState(1, "h1", nil)
+		c.SaveState(1, "h2", nil)
+	}()
+	if err := c.WaitForEpoch(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitForEpoch(0, 0); err != nil {
+		t.Fatalf("an older epoch: %v", err)
+	}
+	if err := c.WaitForEpoch(2, 20*time.Millisecond); err == nil {
+		t.Fatal("a future epoch reported complete")
+	}
+}
+
 func TestCatalogUnknownHAU(t *testing.T) {
 	c := NewCatalog(NewStore(fastSpec()), []string{"h1"})
 	if _, _, err := c.SaveState(1, "intruder", nil); err == nil {
