@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race flake examples perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
+.PHONY: ci vet lint build test race allocs flake examples perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
 
-ci: vet lint build race examples perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
+ci: vet lint build race allocs examples perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation regression tests (testing.AllocsPerRun) on the per-tuple
+# path. They skip under -race, which allocates on its own, so they need
+# this run without it.
+allocs:
+	$(GO) test -count=1 -run Allocs ./internal/...
 
 # Flake hunt, not part of ci: FLAKE_N runs of the chaos and cluster suites
 # under each of GOMAXPROCS=1, 2 and 8, with and without the race detector.

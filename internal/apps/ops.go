@@ -65,18 +65,26 @@ type Position struct {
 	TsMS int64
 }
 
+// positionSize is the encoded length of a Position.
+const positionSize = 24
+
 // Encode serializes p.
 func (p Position) Encode() []byte {
-	buf := make([]byte, 0, 24)
-	buf = putF64(buf, p.X)
-	buf = putF64(buf, p.Y)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.TsMS))
+	buf := make([]byte, positionSize)
+	p.put(buf)
 	return buf
+}
+
+// put writes p's encoding into buf[:positionSize].
+func (p Position) put(buf []byte) {
+	binary.LittleEndian.PutUint64(buf, math.Float64bits(p.X))
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Y))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(p.TsMS))
 }
 
 // DecodePosition parses a Position payload.
 func DecodePosition(buf []byte) (Position, error) {
-	if len(buf) < 24 {
+	if len(buf) < positionSize {
 		return Position{}, errors.New("apps: short position payload")
 	}
 	return Position{
@@ -94,10 +102,28 @@ type Speed struct {
 
 // Encode serializes s.
 func (s Speed) Encode() []byte {
-	buf := make([]byte, 0, 16)
-	buf = putF64(buf, s.V)
-	buf = putF64(buf, s.RefSpeed)
-	return buf
+	return s.append(make([]byte, 0, 16))
+}
+
+// append appends s's 16-byte encoding to buf.
+func (s Speed) append(buf []byte) []byte {
+	return putF64(putF64(buf, s.V), s.RefSpeed)
+}
+
+// speedTuple is a Speed output tuple and its payload in one allocation.
+// The payload array lives inside the object, and tuple.Put resets only the
+// header, so a recycled header never rewrites bytes another holder may
+// still reference.
+type speedTuple struct {
+	t   tuple.Tuple
+	buf [16]byte
+}
+
+// newSpeedTuple returns a tuple carrying s's encoding under key, stamped ts.
+func newSpeedTuple(key string, ts int64, s Speed) *tuple.Tuple {
+	st := &speedTuple{}
+	st.t = tuple.Tuple{Key: key, Ts: ts, Data: s.append(st.buf[:0])}
+	return &st.t
 }
 
 // DecodeSpeed parses a Speed payload.
@@ -181,8 +207,7 @@ func (p *PairOp) OnTuple(_ int, t *tuple.Tuple, emit operator.Emitter) error {
 	}
 	dx, dy := pos.X-prev.X, pos.Y-prev.Y
 	v := math.Sqrt(dx*dx+dy*dy) / float64(pos.TsMS-prev.TsMS)
-	out := &tuple.Tuple{Key: t.Key, Ts: t.Ts, Data: Speed{V: v}.Encode()}
-	emit(0, p.id.stamp(out))
+	emit(0, p.id.stamp(newSpeedTuple(t.Key, t.Ts, Speed{V: v})))
 	return nil
 }
 
@@ -303,8 +328,7 @@ func (m *RefSpeedOp) OnTuple(_ int, t *tuple.Tuple, emit operator.Emitter) error
 		return err
 	}
 	sp.RefSpeed = refSpeedFor(t.Key)
-	out := &tuple.Tuple{Key: t.Key, Ts: t.Ts, Data: sp.Encode()}
-	emit(int(hash(t.Key)%uint64(m.Fanout)), m.id.stamp(out))
+	emit(int(hash(t.Key)%uint64(m.Fanout)), m.id.stamp(newSpeedTuple(t.Key, t.Ts, sp)))
 	return nil
 }
 

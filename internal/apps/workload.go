@@ -36,22 +36,28 @@ func (r *SinkRef) Get() *operator.Sink {
 // tuple id, which is strictly increasing per phone. pad appends raw call
 // detail record bytes beyond the position fields (cell ids, signal
 // metadata) — the paper's records are full anonymized CDRs, not bare
-// coordinates, and preservation pays for the whole record.
+// coordinates, and preservation pays for the whole record. Each phone's
+// name is built once, on its first report, so a report costs one
+// allocation: its payload. Building the names lazily keeps them off
+// recovery's critical path, which constructs every source again.
 func PositionPayload(srcIdx, phones, pad int) operator.PayloadFn {
+	prefix := "ph" + itoa(srcIdx) + "-"
+	names := make([]string, phones)
 	return func(id uint64, rng *rand.Rand) (string, []byte) {
-		phone := "ph" + itoa(srcIdx) + "-" + itoa(int(id)%phones)
-		pos := Position{
+		data := make([]byte, positionSize+pad)
+		Position{
 			X:    rng.Float64() * 1000,
 			Y:    rng.Float64() * 1000,
 			TsMS: int64(id),
-		}
-		data := pos.Encode()
+		}.put(data)
 		if pad > 0 {
-			raw := make([]byte, pad)
-			rng.Read(raw)
-			data = append(data, raw...)
+			rng.Read(data[positionSize:])
 		}
-		return phone, data
+		k := int(id) % phones
+		if names[k] == "" {
+			names[k] = prefix + itoa(k)
+		}
+		return names[k], data
 	}
 }
 

@@ -1,6 +1,9 @@
 package buffer
 
 import (
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -278,5 +281,123 @@ func TestQuickSourceLogReplayExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSourceLogReplayRoundTrip is what a repeated recovery sees: tuples
+// appended across three epochs under a flush threshold that splits each
+// epoch over several segments, epoch 1 pruned, then ReplaySince(2) twice
+// (a kill during recovery replays the same range again). Both calls must
+// return the preserved tuples field for field and in order, and each call
+// must own its headers.
+func TestSourceLogReplayRoundTrip(t *testing.T) {
+	st := fastStore()
+	l := NewSourceLog("S0", st, 3*mk(0, 20).Size()) // about 3 tuples a segment
+	var want []*tuple.Tuple
+	id := uint64(0)
+	for epoch := uint64(1); epoch <= 3; epoch++ {
+		if err := l.BeginEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 7; i++ { // 7 is not a multiple of the segment size
+			id++
+			src := "S0"
+			if i == 3 {
+				src = "relabelled" // not the log's own id
+			}
+			tp := tuple.NewAt(id, src, "k"+string(rune('a'+i)), int64(1000+id), make([]byte, int(id%4)*10))
+			for j := range tp.Data {
+				tp.Data[j] = byte(id + uint64(j))
+			}
+			tp.Seq = id * 3
+			if err := l.Append(tp); err != nil {
+				t.Fatal(err)
+			}
+			if epoch >= 2 {
+				want = append(want, tp.Clone())
+			}
+			tp.Data = append(tp.Data[:0], 0xFF) // the sender's buffer moves on
+		}
+	}
+	l.Prune(2)
+	for _, k := range st.Keys("preserve/S0/") {
+		if strings.HasPrefix(k, "preserve/S0/0000000000000001/") {
+			t.Fatalf("epoch-1 segment %s survived the prune", k)
+		}
+	}
+	first, err := l.ReplaySince(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.PreservedCount(); n != len(want) { // replay flushed the rest
+		t.Fatalf("PreservedCount = %d, want %d", n, len(want))
+	}
+	second, err := l.ReplaySince(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range [][]*tuple.Tuple{first, second} {
+		if len(got) != len(want) {
+			t.Fatalf("replay = %d tuples, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("replay[%d] = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	for _, tp := range first {
+		tp.ID, tp.Key, tp.Seq, tp.Data = 0, "mutated", 0, nil
+	}
+	for i := range want {
+		if !reflect.DeepEqual(second[i], want[i]) {
+			t.Fatalf("mutating the first replay changed the second: [%d] = %+v", i, second[i])
+		}
+	}
+}
+
+// TestSourceLogConcurrentReplayInOrder replays while the source keeps
+// appending, as a recovery fetch does beside a live source. Flushes from
+// both sides overlap on a multi-stripe store, yet every replay must be a
+// gap-free prefix of the appended stream that holds at least every tuple
+// appended before the call.
+func TestSourceLogConcurrentReplayInOrder(t *testing.T) {
+	st := storage.NewStore(storage.DiskSpec{BandwidthBps: 1 << 30, Latency: 20 * time.Microsecond, TimeScale: 1, Stripes: 4})
+	l := NewSourceLog("S0", st, 2*mk(0, 8).Size())
+	const n = 600
+	var appended atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := uint64(1); id <= n; id++ {
+			if err := l.Append(mk(id, 8)); err != nil {
+				t.Error(err)
+				return
+			}
+			appended.Store(id)
+		}
+	}()
+	for replays := 0; ; replays++ {
+		select {
+		case <-done:
+			if replays == 0 {
+				t.Fatal("no replay overlapped the appends")
+			}
+			return
+		default:
+		}
+		before := appended.Load()
+		got, err := l.ReplaySince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(got)) < before {
+			t.Fatalf("replay returned %d tuples, %d were appended before it", len(got), before)
+		}
+		for i, tp := range got {
+			if tp.ID != uint64(i+1) {
+				t.Fatalf("replay[%d] = tuple %d: preservation order broken", i, tp.ID)
+			}
+		}
 	}
 }

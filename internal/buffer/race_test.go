@@ -1,0 +1,7 @@
+//go:build race
+
+package buffer
+
+// raceEnabled reports a -race build: the race detector allocates on its
+// own, so allocation-count tests skip under it.
+const raceEnabled = true

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"meteorshower/internal/storage"
@@ -12,36 +11,47 @@ import (
 // SourceLog implements source preservation: a source HAU writes every
 // output tuple to stable storage before sending it downstream, so the
 // preserved tuples remain accessible even if the source node fails (paper
-// §III-A, step 3). Writes are group-committed: tuples accumulate in a small
-// pending batch that is flushed as a single stable write once it reaches
-// FlushBytes, keeping per-tuple latency overhead realistic for low-rate
-// sensor sources.
+// §III-A, step 3). Writes are group-committed: each tuple is encoded once,
+// straight into a pending byte buffer that is flushed as a single stable
+// write once it reaches FlushBytes, keeping per-tuple latency overhead
+// realistic for low-rate sensor sources.
 //
-// The log is segmented by checkpoint epoch. When the application checkpoint
-// for epoch e completes, everything preserved for epochs < e is obsolete
-// (the new checkpoint already contains its effects) and is dropped.
+// The log keeps only those encoded segments, one per flush, never a
+// decoded tuple: retention costs flat bytes the garbage collector need not
+// scan. When the application checkpoint for epoch e completes, every
+// segment preserved for epochs < e is obsolete (the new checkpoint already
+// contains its effects) and is dropped.
 type SourceLog struct {
 	src        string
 	store      *storage.Store
 	flushBytes int64
 
+	flushMu sync.Mutex // serializes flushes so segments stay in write order
+
 	mu       sync.Mutex
 	epoch    uint64
-	segments map[uint64][]*tuple.Tuple // epoch -> flushed tuples
-	pending  []*tuple.Tuple
+	segments []segment // flushed, in preservation order
+	pending  []byte    // encodings not yet flushed
+	pendingN int
 	pendingB int64
+	nextCap  int // capacity hint for the next pending buffer
 	segSeq   uint64
+}
+
+// segment is one group-committed flush: the bytes written under key, which
+// stay immutable once flushed, so replayed tuples alias their payloads.
+type segment struct {
+	key   string
+	epoch uint64
+	bytes []byte
+	count int
+	size  int64 // Size() sum of the tuples: what replay charges the disk
 }
 
 // NewSourceLog returns a log for source HAU src persisting into store.
 // flushBytes <= 0 flushes on every append (strict write-before-send).
 func NewSourceLog(src string, store *storage.Store, flushBytes int64) *SourceLog {
-	return &SourceLog{
-		src:        src,
-		store:      store,
-		flushBytes: flushBytes,
-		segments:   make(map[uint64][]*tuple.Tuple),
-	}
+	return &SourceLog{src: src, store: store, flushBytes: flushBytes}
 }
 
 // Epoch returns the epoch new tuples are being preserved under.
@@ -51,12 +61,16 @@ func (l *SourceLog) Epoch() uint64 {
 	return l.epoch
 }
 
-// Append preserves t (a copy) under the current epoch. The call blocks for
-// the stable-storage write when the pending batch flushes — modelling
+// Append preserves t's encoding under the current epoch. The call blocks
+// for the stable-storage write when the pending batch flushes — modelling
 // "saves these tuples in stable storage before sending them out".
 func (l *SourceLog) Append(t *tuple.Tuple) error {
 	l.mu.Lock()
-	l.pending = append(l.pending, t.Clone())
+	if l.pending == nil {
+		l.pending = make([]byte, 0, max(l.nextCap, t.MarshalledSize()))
+	}
+	l.pending = t.AppendMarshal(l.pending)
+	l.pendingN++
 	l.pendingB += t.Size()
 	needFlush := l.pendingB >= l.flushBytes
 	l.mu.Unlock()
@@ -68,29 +82,32 @@ func (l *SourceLog) Append(t *tuple.Tuple) error {
 
 // Flush force-writes the pending batch to stable storage.
 func (l *SourceLog) Flush() error {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	if len(l.pending) == 0 {
+	if l.pendingN == 0 {
 		l.mu.Unlock()
 		return nil
 	}
-	batch := l.pending
-	epoch := l.epoch
+	seg := segment{epoch: l.epoch, bytes: l.pending, count: l.pendingN, size: l.pendingB}
 	seq := l.segSeq
 	l.segSeq++
-	l.pending = nil
-	l.pendingB = 0
+	// Steady traffic flushes near-equal segments: size the next buffer
+	// from this one, with slack for a longer key or payload.
+	l.nextCap = len(seg.bytes) + len(seg.bytes)/16
+	l.pending, l.pendingN, l.pendingB = nil, 0, 0
 	l.mu.Unlock()
 
-	key := fmt.Sprintf("preserve/%s/%016d/%08d", l.src, epoch, seq)
+	seg.key = fmt.Sprintf("preserve/%s/%016d/%08d", l.src, seg.epoch, seq)
 	if l.store != nil {
-		// MarshalMany's buffer is fresh and never touched again: hand it
-		// over instead of letting Put copy it.
-		if _, err := l.store.PutOwned(key, tuple.MarshalMany(batch)); err != nil {
+		// The pending buffer is never appended to again: hand it over
+		// instead of letting Put copy it.
+		if _, err := l.store.PutOwned(seg.key, seg.bytes); err != nil {
 			return fmt.Errorf("sourcelog %s: %w", l.src, err)
 		}
 	}
 	l.mu.Lock()
-	l.segments[epoch] = append(l.segments[epoch], batch...)
+	l.segments = append(l.segments, seg)
 	l.mu.Unlock()
 	return nil
 }
@@ -108,57 +125,65 @@ func (l *SourceLog) BeginEpoch(e uint64) error {
 	return nil
 }
 
-// Prune discards segments for epochs < keep: once the application
-// checkpoint `keep` is complete, older preserved tuples can never be
-// replayed again.
+// Prune discards segments for epochs < keep, deleting exactly the store
+// keys their flushes wrote: once the application checkpoint `keep` is
+// complete, older preserved tuples can never be replayed again.
 func (l *SourceLog) Prune(keep uint64) {
 	l.mu.Lock()
-	var drop []uint64
-	for e := range l.segments {
-		if e < keep {
-			drop = append(drop, e)
+	var drop []string
+	kept := l.segments[:0]
+	for _, s := range l.segments {
+		if s.epoch < keep {
+			drop = append(drop, s.key)
+		} else {
+			kept = append(kept, s)
 		}
 	}
-	for _, e := range drop {
-		delete(l.segments, e)
-	}
+	clear(l.segments[len(kept):])
+	l.segments = kept
 	l.mu.Unlock()
 	if l.store != nil {
-		for _, e := range drop {
-			prefix := fmt.Sprintf("preserve/%s/%016d/", l.src, e)
-			for _, k := range l.store.Keys(prefix) {
-				_ = l.store.Delete(k)
-			}
+		for _, k := range drop {
+			_ = l.store.Delete(k)
 		}
 	}
 }
 
-// ReplaySince returns copies of every preserved tuple with epoch >= since,
-// in preservation order, charging stable-storage read cost. Recovery calls
-// this with the MRC epoch to re-feed the restarted application.
+// ReplaySince decodes every preserved tuple with epoch >= since, in
+// preservation order, charging stable-storage read cost. Recovery calls
+// this with the MRC epoch to re-feed the restarted application. Each call
+// returns fresh headers (allocated together); their payloads alias the
+// log's immutable segment bytes, and Src is the log's own id string.
 func (l *SourceLog) ReplaySince(since uint64) ([]*tuple.Tuple, error) {
 	if err := l.Flush(); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
-	var epochs []uint64
-	for e := range l.segments {
-		if e >= since {
-			epochs = append(epochs, e)
-		}
-	}
-	// Epoch numbers are strictly increasing over time, so sorting them
-	// recovers preservation order.
-	slices.Sort(epochs)
-	var out []*tuple.Tuple
+	var segs []segment
+	n := 0
 	var bytes int64
-	for _, e := range epochs {
-		for _, t := range l.segments[e] {
-			out = append(out, t.Clone())
-			bytes += t.Size()
+	for _, s := range l.segments {
+		if s.epoch >= since {
+			segs = append(segs, s)
+			n += s.count
+			bytes += s.size
 		}
 	}
 	l.mu.Unlock()
+	// Flushed segments are immutable, so decoding needs no lock.
+	hdrs := make([]tuple.Tuple, n)
+	out := make([]*tuple.Tuple, 0, n)
+	for _, s := range segs {
+		for buf := s.bytes; len(buf) > 0; {
+			t := &hdrs[len(out)]
+			k, err := t.UnmarshalShared(buf, l.src)
+			if err != nil {
+				return nil, fmt.Errorf("sourcelog %s: segment %s: %w", l.src, s.key, err)
+			}
+			out = append(out, t)
+			buf = buf[k:]
+		}
+	}
 	if bytes > 0 && l.store != nil {
 		l.store.Disk().Read(bytes)
 	}
@@ -170,8 +195,8 @@ func (l *SourceLog) PreservedCount() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, seg := range l.segments {
-		n += len(seg)
+	for _, s := range l.segments {
+		n += s.count
 	}
 	return n
 }

@@ -8,7 +8,9 @@ import (
 	"meteorshower/internal/tuple"
 )
 
-// PayloadFn builds the payload and key for the i-th tuple of a source.
+// PayloadFn builds the payload and key for the i-th tuple of a source. Its
+// source calls it from one goroutine, so a PayloadFn may keep unlocked
+// state; give each source its own.
 type PayloadFn func(id uint64, rng *rand.Rand) (key string, data []byte)
 
 // RateSource generates tuples at a fixed average rate. It models the
@@ -203,12 +205,18 @@ func (s *RateSource) Restore(buf []byte) error {
 }
 
 // BytePayload returns a PayloadFn producing fixed-size opaque payloads with
-// a key drawn from nKeys buckets.
+// a key drawn from nKeys buckets. Each key name is built once, on first
+// use, so a tuple costs one allocation: its payload.
 func BytePayload(size, nKeys int) PayloadFn {
+	keys := make([]string, nKeys)
 	return func(id uint64, rng *rand.Rand) (string, []byte) {
 		data := make([]byte, size)
 		rng.Read(data)
-		return "k" + itoa(int(id)%nKeys), data
+		k := int(id) % nKeys
+		if keys[k] == "" {
+			keys[k] = "k" + itoa(k)
+		}
+		return keys[k], data
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"meteorshower/internal/tuple"
 )
 
-// alignFixture is a two-input MS-src HAU under direct edge control — the
-// shape every alignment edge case below runs against.
+// alignFixture is a two-input HAU under direct edge control — the shape
+// every alignment edge case below runs against.
 type alignFixture struct {
 	in0, in1 *Edge
 	out      *edgeReader
@@ -21,7 +21,7 @@ type alignFixture struct {
 	cancel   context.CancelFunc
 }
 
-func newAlignFixture(t *testing.T) *alignFixture {
+func newAlignFixture(t *testing.T, scheme Scheme) *alignFixture {
 	t.Helper()
 	f := &alignFixture{
 		in0: NewEdge("u0", "H", 16),
@@ -32,7 +32,7 @@ func newAlignFixture(t *testing.T) *alignFixture {
 	f.out = newEdgeReader(out)
 	f.cat = storage.NewCatalog(fastStore(), []string{"H"})
 	h, err := New(Config{
-		ID: "H", Scheme: MSSrc, Ops: []operator.Operator{operator.NewCounter("c")},
+		ID: "H", Scheme: scheme, Ops: []operator.Operator{operator.NewCounter("c")},
 		In: []*Edge{f.in0, f.in1}, Out: []*Edge{out},
 		Catalog: f.cat, TickEvery: time.Millisecond,
 	})
@@ -54,7 +54,26 @@ func (f *alignFixture) data(src string, id, seq uint64) *tuple.Tuple {
 }
 
 func (f *alignFixture) token(epoch uint64, from string) *tuple.Tuple {
-	return tuple.NewToken(tuple.Token{Epoch: epoch, Kind: tuple.Cascading, From: from})
+	kind := tuple.Cascading
+	if f.h.cfg.Scheme.OneHopTokens() {
+		kind = tuple.OneHop
+	}
+	return tuple.NewToken(tuple.Token{Epoch: epoch, Kind: kind, From: from})
+}
+
+// waitToken drains the output edge until the HAU's own token for epoch
+// arrives — proof that the HAU has armed that epoch.
+func (f *alignFixture) waitToken(t *testing.T, epoch uint64) {
+	t.Helper()
+	for {
+		tp := f.out.next(5 * time.Second)
+		if tp == nil {
+			t.Fatalf("no epoch-%d token downstream", epoch)
+		}
+		if tp.IsToken() && tp.Tok.Epoch == epoch {
+			return
+		}
+	}
 }
 
 // waitDelivered drains the output edge until each source reached its
@@ -230,9 +249,65 @@ func TestAlignmentEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newAlignFixture(t)
+			f := newAlignFixture(t, MSSrc)
 			defer f.cancel()
 			tc.run(t, f)
 		})
 	}
+}
+
+// TestAligningHAUKeepsEpochsApart feeds a two-input MS-src+ap HAU tokens of
+// two epochs out of order. Each cut must be taken at its own epoch's
+// tokens: a token older than the aligning epoch is dropped, and a newer one
+// closes its port for the current cut and is held until that cut is taken.
+func TestAligningHAUKeepsEpochsApart(t *testing.T) {
+	t.Run("older token dropped", func(t *testing.T) {
+		f := newAlignFixture(t, MSSrcAP)
+		defer f.cancel()
+		// Commands out of order: the HAU arms epoch 2 and skips epoch 1.
+		// The epoch-1 command is queued before the inputs carry anything,
+		// and the loop reads no input while a command is queued.
+		f.h.Command(Command{Kind: CmdCheckpoint, Epoch: 2})
+		f.h.Command(Command{Kind: CmdCheckpoint, Epoch: 1})
+		f.waitToken(t, 2)
+		for i, in := range []*Edge{f.in0, f.in1} {
+			src := "u" + string(rune('0'+i))
+			in.Inject(nil, f.data(src, 1, 1), f.token(1, src))
+			in.Inject(nil, f.data(src, 2, 2), f.token(2, src))
+		}
+		waitFor(t, 5*time.Second, func() bool { return f.lis.ckptCount() == 1 })
+		if cut := f.cutCounts(t, 2); cut["u0"] != 2 || cut["u1"] != 2 {
+			t.Fatalf("epoch-2 cut = %v, want u0=2 u1=2 (taken at the epoch-2 tokens)", cut)
+		}
+		if _, _, err := f.cat.LoadState(1, "H"); err == nil {
+			t.Fatal("an epoch-1 blob was cut after the HAU skipped epoch 1")
+		}
+		if n := f.h.MixedTokens(); n != 2 {
+			t.Fatalf("MixedTokens = %d, want 2 dropped epoch-1 tokens", n)
+		}
+	})
+	t.Run("newer token held", func(t *testing.T) {
+		f := newAlignFixture(t, MSSrcAP)
+		defer f.cancel()
+		f.h.Command(Command{Kind: CmdCheckpoint, Epoch: 1})
+		f.waitToken(t, 1)
+		// u0 skipped token 1: its token 2 closes it for epoch 1, and the
+		// tuple behind that token belongs after epoch 2's cut.
+		f.in0.Inject(nil, f.data("u0", 1, 1), f.token(2, "u0"), f.data("u0", 2, 2))
+		f.in1.Inject(nil, f.data("u1", 1, 1), f.token(1, "u1"))
+		waitFor(t, 5*time.Second, func() bool { return f.lis.ckptCount() == 1 })
+		if cut := f.cutCounts(t, 1); cut["u0"] != 1 || cut["u1"] != 1 {
+			t.Fatalf("epoch-1 cut = %v, want u0=1 u1=1", cut)
+		}
+		// The held token re-arms epoch 2 after the cut, so u0 stays
+		// paused until u1 delivers its own token 2.
+		f.in1.Inject(nil, f.data("u1", 2, 2), f.token(2, "u1"))
+		waitFor(t, 5*time.Second, func() bool { return f.lis.ckptCount() == 2 })
+		if cut := f.cutCounts(t, 2); cut["u0"] != 1 || cut["u1"] != 2 {
+			t.Fatalf("epoch-2 cut = %v, want u0=1 u1=2 (u0's post-token tuple excluded)", cut)
+		}
+		if n := f.h.MixedTokens(); n != 1 {
+			t.Fatalf("MixedTokens = %d, want 1 held epoch-2 token", n)
+		}
+	})
 }

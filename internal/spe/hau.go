@@ -499,7 +499,10 @@ type HAU struct {
 	cachedSize atomic.Int64
 	processed  atomic.Uint64
 	shed       atomic.Uint64
-	writerWG   sync.WaitGroup
+	// mixedTokens counts tokens that reached an aligning HAU for another
+	// epoch than the one it aligns: older ones dropped, newer ones held.
+	mixedTokens atomic.Uint64
+	writerWG    sync.WaitGroup
 
 	startOnce sync.Once
 	done      chan struct{}
@@ -647,6 +650,10 @@ func (h *HAU) ShedCount() uint64 { return h.shed.Load() }
 // Operators returns the HAU's operator chain (tests, tooling). Operator
 // state is owned by the HAU loop — read it only after Done is closed.
 func (h *HAU) Operators() []operator.Operator { return h.cfg.Ops }
+
+// MixedTokens returns how many checkpoint tokens arrived during an
+// alignment for a different epoch (dropped when older, held when newer).
+func (h *HAU) MixedTokens() uint64 { return h.mixedTokens.Load() }
 
 // Done is closed when the HAU loop exits.
 func (h *HAU) Done() <-chan struct{} { return h.done }
@@ -975,15 +982,23 @@ func (h *HAU) processBatch(ctx context.Context, port int, b *tuple.Batch) {
 			break
 		}
 		t := ts[i]
+		if t.IsToken() && h.holdsToken(t.Tok) {
+			// Token e+1 before token e on this port: by FIFO the port will
+			// never carry token e, so it closes the port for e's cut. The
+			// token itself waits at the front of the port, processed once
+			// e's cut is taken.
+			h.mixedTokens.Add(1)
+			h.repark(port, ts[i:])
+			h.alignPort(ctx, port)
+			break
+		}
 		if t.IsToken() {
 			tok := *t.Tok
 			ts[i] = nil
 			tuple.Put(t)
 			h.onToken(ctx, port, tok)
 			if h.aligned[port] && i+1 < len(ts) {
-				rem := tuple.GetBatch()
-				rem.Tuples = append(rem.Tuples, ts[i+1:]...)
-				h.parked[port] = append([]*tuple.Batch{rem}, h.parked[port]...)
+				h.repark(port, ts[i+1:])
 				break
 			}
 			continue
@@ -996,6 +1011,14 @@ func (h *HAU) processBatch(ctx context.Context, port int, b *tuple.Batch) {
 		h.processed.Add(n)
 	}
 	tuple.PutBatch(b)
+}
+
+// repark puts the unprocessed rest of a batch back at the front of the
+// port's parked queue, so the port's FIFO order survives a pause.
+func (h *HAU) repark(port int, rest []*tuple.Tuple) {
+	rem := tuple.GetBatch()
+	rem.Tuples = append(rem.Tuples, rest...)
+	h.parked[port] = append([]*tuple.Batch{rem}, h.parked[port]...)
 }
 
 // flushAll pushes every output edge's pending batch (and preservation
@@ -1429,6 +1452,14 @@ func (h *HAU) onToken(ctx context.Context, port int, tok tuple.Token) {
 		h.onUnalignedToken(ctx, port, tok)
 		return
 	}
+	if h.awaiting && tok.Epoch < h.pendingEp {
+		// Older than the epoch being aligned (its command arrived late and
+		// was skipped): this HAU never cuts that epoch, and counting the
+		// port as aligned would stamp pendingEp on a cut at the older
+		// barrier. The port stays open until its pendingEp token.
+		h.mixedTokens.Add(1)
+		return
+	}
 	if !h.awaiting {
 		if h.cfg.Scheme.OneHopTokens() {
 			// Token raced ahead of the controller command (possible when
@@ -1445,8 +1476,20 @@ func (h *HAU) onToken(ctx context.Context, port int, tok tuple.Token) {
 			h.alignStart = h.now()
 		}
 	}
-	h.aligned[port] = true
-	h.pausedAt[port] = h.now()
+	h.alignPort(ctx, port)
+}
+
+// holdsToken reports whether tok belongs to an epoch newer than the one
+// this HAU is aligning, so it must wait for the current cut.
+func (h *HAU) holdsToken(tok *tuple.Token) bool {
+	return h.awaiting && tok.Kind != tuple.Migration && tok.Epoch > h.pendingEp
+}
+
+// alignPort stops reading input port p for the pending cut and takes the
+// cut once every port is aligned or closed.
+func (h *HAU) alignPort(ctx context.Context, p int) {
+	h.aligned[p] = true
+	h.pausedAt[p] = h.now()
 	h.checkAlignment(ctx)
 }
 

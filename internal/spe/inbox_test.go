@@ -165,7 +165,7 @@ func TestEdgeCloseAfterQueuedBatches(t *testing.T) {
 // is aligned, its batches stay on its edge and its sender blocks on the
 // full ring, while the other input keeps flowing through the operator.
 func TestAligningPortBlocksOnlyItsSender(t *testing.T) {
-	f := newAlignFixture(t) // 16-tuple edges of one 16-tuple batch slot
+	f := newAlignFixture(t, MSSrc) // 16-tuple edges of one 16-tuple batch slot
 	defer f.cancel()
 	f.in0.Inject(nil, f.token(1, "u0"))
 	f.in0.Inject(nil, f.data("u0", 1, 1))
@@ -204,7 +204,7 @@ func TestAligningPortBlocksOnlyItsSender(t *testing.T) {
 // readable, and the checkpoint waits for its token too — its pre-token
 // tuples belong to the cut.
 func TestAddInPortMidAlignment(t *testing.T) {
-	f := newAlignFixture(t)
+	f := newAlignFixture(t, MSSrc)
 	defer f.cancel()
 	f.in0.Inject(nil, f.token(1, "u0"))
 	in2 := NewEdge("u2", "H", 16)

@@ -70,57 +70,78 @@ func (t *Tuple) AppendMarshal(buf []byte) []byte {
 }
 
 // Unmarshal decodes one tuple from the front of buf and returns it together
-// with the number of bytes consumed.
+// with the number of bytes consumed. The payload is copied, so the caller
+// may reuse buf afterwards.
 func Unmarshal(buf []byte) (*Tuple, int, error) {
+	t := &Tuple{}
+	n, err := t.UnmarshalShared(buf, "")
+	if err != nil {
+		return nil, 0, err
+	}
+	if t.Data != nil {
+		t.Data = append([]byte(nil), t.Data...)
+	}
+	return t, n, nil
+}
+
+// UnmarshalShared decodes one tuple from the front of buf into t,
+// overwriting every field, and returns the number of bytes consumed. It is
+// the codec's one decoder. t.Data aliases buf (capacity-clipped, so an
+// append never writes into the next encoding): buf must stay immutable for
+// as long as t or any copy of its payload lives. When the encoded source
+// id equals src, t.Src is src itself instead of a fresh string. On error
+// t's contents are unspecified.
+func (t *Tuple) UnmarshalShared(buf []byte, src string) (int, error) {
 	if len(buf) < 3 {
-		return nil, 0, ErrShortBuffer
+		return 0, ErrShortBuffer
 	}
 	if binary.LittleEndian.Uint16(buf) != magic {
-		return nil, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	flags := buf[2]
 	off := 3
 	if len(buf) < off+24 {
-		return nil, 0, ErrShortBuffer
+		return 0, ErrShortBuffer
 	}
-	t := &Tuple{}
 	t.ID = binary.LittleEndian.Uint64(buf[off:])
 	t.Seq = binary.LittleEndian.Uint64(buf[off+8:])
 	t.Ts = int64(binary.LittleEndian.Uint64(buf[off+16:]))
 	off += 24
 	var err error
-	if t.Src, off, err = readString16(buf, off); err != nil {
-		return nil, 0, err
+	if t.Src, off, err = readString16(buf, off, src); err != nil {
+		return 0, err
 	}
-	if t.Key, off, err = readString16(buf, off); err != nil {
-		return nil, 0, err
+	if t.Key, off, err = readString16(buf, off, ""); err != nil {
+		return 0, err
 	}
 	if len(buf) < off+4 {
-		return nil, 0, ErrShortBuffer
+		return 0, ErrShortBuffer
 	}
 	dlen := int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
 	if len(buf) < off+dlen {
-		return nil, 0, ErrShortBuffer
+		return 0, ErrShortBuffer
 	}
+	t.Data = nil
 	if dlen > 0 {
-		t.Data = append([]byte(nil), buf[off:off+dlen]...)
+		t.Data = buf[off : off+dlen : off+dlen]
 	}
 	off += dlen
+	t.Tok = nil
 	if flags&1 != 0 {
 		if len(buf) < off+9 {
-			return nil, 0, ErrShortBuffer
+			return 0, ErrShortBuffer
 		}
 		tok := &Token{}
 		tok.Epoch = binary.LittleEndian.Uint64(buf[off:])
 		tok.Kind = TokenKind(buf[off+8])
 		off += 9
-		if tok.From, off, err = readString16(buf, off); err != nil {
-			return nil, 0, err
+		if tok.From, off, err = readString16(buf, off, ""); err != nil {
+			return 0, err
 		}
 		t.Tok = tok
 	}
-	return t, off, nil
+	return off, nil
 }
 
 // MarshalMany concatenates the encodings of ts.
@@ -155,7 +176,10 @@ func appendString16(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func readString16(buf []byte, off int) (string, int, error) {
+// readString16 reads a length-prefixed string at off. An encoding equal to
+// known returns known itself, so a caller that expects a repeated value
+// (a source log's own id) pays no allocation for it.
+func readString16(buf []byte, off int, known string) (string, int, error) {
 	if len(buf) < off+2 {
 		return "", off, ErrShortBuffer
 	}
@@ -164,5 +188,9 @@ func readString16(buf []byte, off int) (string, int, error) {
 	if len(buf) < off+n {
 		return "", off, ErrShortBuffer
 	}
-	return string(buf[off : off+n]), off + n, nil
+	b := buf[off : off+n]
+	if string(b) == known {
+		return known, off + n, nil
+	}
+	return string(b), off + n, nil
 }

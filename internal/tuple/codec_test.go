@@ -197,3 +197,34 @@ func BenchmarkUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// UnmarshalShared aliases the payload (capacity-clipped) and overwrites a
+// reused header completely; Unmarshal copies the payload.
+func TestUnmarshalSharedAliasesPayload(t *testing.T) {
+	a := &Tuple{ID: 1, Src: "S1", Key: "k", Data: []byte("abc")}
+	b := &Tuple{ID: 2, Src: "S1", Key: "k2", Tok: &Token{Epoch: 3, From: "S1"}}
+	buf := b.AppendMarshal(a.Marshal())
+	into := &Tuple{Data: []byte("stale"), Tok: &Token{}}
+	n, err := into.UnmarshalShared(buf, "S1")
+	if err != nil || !sameTuple(into, a) {
+		t.Fatalf("first = %+v, %v", into, err)
+	}
+	if cap(into.Data) != len(into.Data) {
+		t.Fatal("payload capacity reaches into the next encoding")
+	}
+	buf[n-1] = 'z' // last payload byte of the first encoding
+	if into.Data[2] != 'z' {
+		t.Fatal("UnmarshalShared copied the payload")
+	}
+	if _, err := into.UnmarshalShared(buf[n:], "S1"); err != nil || !sameTuple(into, b) {
+		t.Fatalf("second into a reused header = %+v, %v", into, err)
+	}
+	cp, _, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[n-1] = 'y'
+	if cp.Data[2] != 'z' {
+		t.Fatal("Unmarshal shares the payload with the buffer")
+	}
+}

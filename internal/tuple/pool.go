@@ -11,10 +11,14 @@ import "sync"
 //     only reference may Put it back; everyone else must Retain (header
 //     copy) or Clone (deep copy) first.
 //   - Payloads (Data) are immutable once a tuple has been emitted
-//     downstream. Retained and preserved copies therefore share the
-//     payload bytes instead of copying them (copy-on-retain of the
-//     header only). Put never recycles payload bytes for the same
-//     reason: another header may still reference them.
+//     downstream. Retained copies therefore share the payload bytes
+//     instead of copying them (copy-on-retain of the header only). Put
+//     never recycles payload bytes for the same reason: another header
+//     may still reference them.
+//   - Source logs keep only encoded bytes, one immutable segment per
+//     flush, never a tuple. Tuples a source log replays alias their
+//     segment's payload bytes (UnmarshalShared), so the same rule holds
+//     for them: never write into a replayed tuple's Data.
 //   - Batch containers are owned by the receiver after a channel send;
 //     PutBatch recycles the container only, never the tuples inside.
 
