@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race allocs flake examples perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
+.PHONY: ci vet lint build test race allocs flake loc examples perfbench-test chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp bench-smoke bench-hotpath placement-bench bench-checkpoint bench-checkpoint-smoke bench-unaligned bench-unaligned-smoke rescale-bench rescale-bench-smoke elasticity-bench elasticity-bench-smoke ha-bench ha-bench-smoke skew-bench skew-bench-smoke fairness-bench fairness-bench-smoke
 
 ci: vet lint build race allocs examples perfbench-test bench-smoke bench-checkpoint-smoke chaos chaos-migrate chaos-rescale chaos-rebalance chaos-unaligned chaos-elastic chaos-ha chaos-multiapp rescale-bench-smoke elasticity-bench-smoke skew-bench-smoke fairness-bench-smoke
 
@@ -54,6 +54,14 @@ flake:
 		done; \
 	done; \
 	exit $$fail
+
+# Size report, not part of ci: non-test Go lines (wc -l) per package
+# directory outside perfbench/, then the total.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print0 | \
+		xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^\\./", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Build and run every example program. Each checks its own result and
 # exits non-zero through log.Fatal when the check fails.

@@ -385,7 +385,7 @@ func policyTrials(s float64, window time.Duration, workNS int64) (policyPoint, e
 		return pt, fmt.Errorf("count-balanced: %w", err)
 	}
 	if pt.WeightedRate, err = run(func(t *trial) error {
-		_, err := t.cl.SplitHAUWeighted(context.Background(), "P", replicas, w)
+		_, err := t.cl.RescaleHAU(context.Background(), "P", replicas, w)
 		return err
 	}); err != nil {
 		return pt, fmt.Errorf("weighted: %w", err)
@@ -464,7 +464,7 @@ func driftTrial(s float64, driftAt uint64, workNS int64) (driftPoint, error) {
 	}
 	defer t.Close()
 	ctx := context.Background()
-	if _, err := t.cl.SplitHAUWeighted(ctx, "P", replicas, wA); err != nil {
+	if _, err := t.cl.RescaleHAU(ctx, "P", replicas, wA); err != nil {
 		return pt, fmt.Errorf("weighted split: %w", err)
 	}
 	before := t.cl.Replicas("P")

@@ -707,7 +707,7 @@ func (h *harness) round(ctx context.Context, burst []int) (Round, error) {
 	if h.cfg.Rescales && rd.Point != KillMidRescale {
 		if id := rescaleVictim(h.cfg.Topology); id != "" {
 			rd.Rescaled, rd.RescaleTo = id, h.rescaleTarget(id)
-			_, _ = h.cl.RescaleHAU(ctx, id, rd.RescaleTo)
+			_, _ = h.cl.RescaleHAU(ctx, id, rd.RescaleTo, nil)
 		}
 	}
 	// In rebalance mode, every round that is not itself a mid-rebalance kill
@@ -718,7 +718,7 @@ func (h *harness) round(ctx context.Context, burst []int) (Round, error) {
 	if h.cfg.Rebalances && rd.Point != KillMidRebalance {
 		if id := rescaleVictim(h.cfg.Topology); id != "" {
 			if len(h.cl.Replicas(id)) < 2 {
-				_, _ = h.cl.RescaleHAU(ctx, id, 2)
+				_, _ = h.cl.RescaleHAU(ctx, id, 2, nil)
 			}
 			rd.Rebalanced = id
 			_, _ = h.cl.RebalanceHAU(ctx, id, h.nextRebalanceWeights())
@@ -833,7 +833,7 @@ func (h *harness) round(ctx context.Context, burst []int) (Round, error) {
 		rescDone := make(chan struct{})
 		go func() {
 			defer close(rescDone)
-			_, _ = h.cl.RescaleHAU(ctx, id, rd.RescaleTo)
+			_, _ = h.cl.RescaleHAU(ctx, id, rd.RescaleTo, nil)
 		}()
 		time.Sleep(delay)
 		kills := append(append([]int(nil), burst...), victim)
@@ -852,7 +852,7 @@ func (h *harness) round(ctx context.Context, burst []int) (Round, error) {
 		// recovery below.
 		id := rescaleVictim(h.cfg.Topology)
 		if len(h.cl.Replicas(id)) < 2 {
-			_, _ = h.cl.RescaleHAU(ctx, id, 2)
+			_, _ = h.cl.RescaleHAU(ctx, id, 2, nil)
 		}
 		w := h.nextRebalanceWeights()
 		incs := h.cl.Replicas(id)

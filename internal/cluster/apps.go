@@ -21,7 +21,6 @@ import (
 	"meteorshower/internal/controller"
 	"meteorshower/internal/graph"
 	"meteorshower/internal/operator"
-	"meteorshower/internal/partition"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
 	"meteorshower/internal/tenant"
@@ -307,21 +306,8 @@ func (cl *Cluster) AddApp(ctx context.Context, spec AppSpec) error {
 		cl.hauNode[id] = n
 	}
 	if cl.started {
-		for _, id := range ids {
-			cl.inEdges[id] = cl.freshInGridLocked(id, id)
-		}
-		for _, id := range ids {
-			h, _, _, err := cl.buildHAU(id, nil)
-			if err != nil {
-				return fmt.Errorf("cluster: app %q: %w", spec.Name, err)
-			}
-			cl.haus[id] = h
-		}
-		cl.installControllerHAUs()
-		for _, id := range ids {
-			hctx, cancel := context.WithCancel(cl.rootCtx)
-			cl.cancels[id] = cancel
-			cl.haus[id].Start(hctx)
+		if err := cl.launchFreshLocked(ids); err != nil {
+			return fmt.Errorf("cluster: app %q: %w", spec.Name, err)
 		}
 	}
 	if cl.ctrlCtx != nil {
@@ -373,7 +359,6 @@ func (cl *Cluster) RemoveApp(name string) error {
 		delete(cl.inEdges, id)
 		delete(cl.hauNode, id)
 		delete(cl.preservers, id)
-		delete(cl.migrating, id)
 	}
 	for id, sb := range cl.standbys {
 		if !own(id) {
@@ -386,7 +371,7 @@ func (cl *Cluster) RemoveApp(name string) error {
 	for _, id := range a.graph.Nodes() {
 		delete(cl.parts, id)
 		delete(cl.nextTag, id)
-		delete(cl.rescaling, id)
+		delete(cl.busy, id)
 		delete(cl.lastRescale, id)
 		delete(cl.lastLoads, id)
 		delete(cl.skewHits, id)
@@ -488,9 +473,7 @@ func (cl *Cluster) arbiterStep() (int, error) {
 				d.Backlog += e.Queued()
 			}
 		}
-		movable := !partition.IsReplica(id) && cl.parts[id] == nil &&
-			!cl.migrating[id] && !cl.rescaling[partition.BaseID(id)] && !cl.haPinnedLocked(id)
-		v.HAUs = append(v.HAUs, tenant.HAUView{ID: id, App: a.name, Node: nd, Movable: movable})
+		v.HAUs = append(v.HAUs, tenant.HAUView{ID: id, App: a.name, Node: nd, Movable: cl.movableLocked(id)})
 	}
 	elapsed := now.Sub(cl.arbPrevAt)
 	primed := cl.arbPrimed

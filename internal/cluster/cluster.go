@@ -24,7 +24,6 @@ import (
 	"meteorshower/internal/operator"
 	"meteorshower/internal/partition"
 	"meteorshower/internal/placement"
-	"meteorshower/internal/replica"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
 	"meteorshower/internal/tenant"
@@ -56,7 +55,7 @@ type Config struct {
 	// (multi-tenancy). Each spec must carry a unique non-empty Name free
 	// of the namespace separator; every HAU id is namespaced "Name/id".
 	// Apps[0] additionally anchors the fleet-wide control loops
-	// (rebalancer, autoscaler, elasticity, HA, arbiter).
+	// (rebalancer, autoscaler, elasticity, arbiter).
 	Apps   []AppSpec
 	Scheme spe.Scheme
 	Nodes  int // worker nodes
@@ -71,12 +70,10 @@ type Config struct {
 	NodesPerRack int
 
 	// RebalanceEvery enables the controller's rebalancer loop: every
-	// period it evaluates node load and live-migrates at most
-	// RebalanceMaxMoves HAUs off the hottest node when its score exceeds
-	// the mean by RebalanceHysteresis. 0 disables rebalancing.
-	RebalanceEvery      time.Duration
-	RebalanceHysteresis float64
-	RebalanceMaxMoves   int
+	// period it evaluates node load and live-migrates at most one HAU off
+	// the hottest node when its score exceeds the mean by 25% (the
+	// placement.RebalancerConfig defaults). 0 disables rebalancing.
+	RebalanceEvery time.Duration
 
 	LocalDiskSpec  storage.DiskSpec
 	SharedSpec     storage.DiskSpec
@@ -121,11 +118,10 @@ type Config struct {
 	// operator is merged back. Zero disables merging. Keep MergeBelow well
 	// under SplitAbove or the detector oscillates.
 	MergeBelow int64
-	// MaxReplicas caps how many replicas a split may create (0 = 4).
+	// MaxReplicas caps how many replicas a split may create (0 = 4). Two
+	// rescales of the same operator are at least twice AutoscaleEvery
+	// apart.
 	MaxReplicas int
-	// RescaleCooldown is the minimum gap between rescales of the same
-	// operator (0 = twice AutoscaleEvery).
-	RescaleCooldown time.Duration
 	// ImbalanceAbove arms the autoscaler's skew trigger: when a split
 	// operator's max-replica-load / mean-replica-load ratio (from the
 	// router's per-slot counters) exceeds this watermark on
@@ -158,22 +154,6 @@ type Config struct {
 	// cooldowns default to 3x/6x ElasticEvery for out/in.
 	Elastic elastic.Config
 
-	// HAEvery enables the controller's hybrid fault-tolerance loop: every
-	// period the replica planner ranks single-input interior operators by
-	// recovery cost and arms an active standby for the hottest
-	// (ProtectHAU) or demotes cold protected ones back to
-	// checkpoint-only recovery (DemoteHAU). Zero disables the loop;
-	// Protect/Demote/FailoverHAU stay callable manually.
-	HAEvery time.Duration
-	// ProtectAbove / DemoteBelow are the planner's hysteresis watermarks
-	// (bytes of operator state); keep DemoteBelow well under ProtectAbove
-	// or a flat workload flaps. MaxStandbys bounds concurrent standbys
-	// (0 = 1); HACooldown is the per-HAU minimum between mode changes
-	// (0 = twice HAEvery).
-	ProtectAbove int64
-	DemoteBelow  int64
-	MaxStandbys  int
-	HACooldown   time.Duration
 	// StandbyRing bounds each standby's suppressed-output ring (tuples);
 	// 0 derives a default from the output edge capacity.
 	StandbyRing int
@@ -283,7 +263,6 @@ type Cluster struct {
 	// replica sets their blobs were written under.
 	parts       map[string]*partState
 	nextTag     map[string]int
-	rescaling   map[string]bool
 	lastRescale map[string]time.Time
 	// Skew-trigger bookkeeping: lastLoads snapshots each split operator's
 	// cumulative router counters at the previous autoscale tick (per-tick
@@ -306,16 +285,17 @@ type Cluster struct {
 	// gen counts topology-changing events (recoveries). A migration that
 	// observes gen change mid-flight aborts: the whole-application rollback
 	// that bumped it has already rebuilt the HAU somewhere consistent.
-	gen       uint64
-	migrating map[string]bool
+	gen uint64
+	// busy holds the graph ids a live topology change (migrate, rescale,
+	// protect) is changing; a second change touching any of them is
+	// refused. See reconfig.go.
+	busy map[string]bool
 
 	// Active-standby replication (hybrid fault tolerance): standbys maps
-	// each protected HAU to its armed standby, haPlanner assigns
-	// ModeStandby/ModeCheckpoint on the controller's HA tick, failObs
-	// observes failover steps (chaos aims kills with it).
-	standbys  map[string]*standbyState
-	haPlanner *replica.Planner
-	failObs   func(id, step string)
+	// each protected HAU to its armed standby, failObs observes failover
+	// steps (chaos aims kills with it).
+	standbys map[string]*standbyState
+	failObs  func(id, step string)
 
 	// Fair-share arbitration (multi-tenant): arb plans bounded migrations
 	// toward the weighted fair node partition; arbPrevProc/arbPrevAt prime
@@ -376,10 +356,9 @@ func New(cfg Config) (*Cluster, error) {
 		preservers:  make(map[string]*buffer.Preserver),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		policy:      cfg.Placement,
-		migrating:   make(map[string]bool),
+		busy:        make(map[string]bool),
 		parts:       make(map[string]*partState),
 		nextTag:     make(map[string]int),
-		rescaling:   make(map[string]bool),
 		lastRescale: make(map[string]time.Time),
 		lastLoads:   make(map[string]partition.Weights),
 		skewHits:    make(map[string][]bool),
@@ -429,11 +408,9 @@ func New(cfg Config) (*Cluster, error) {
 	ctrlCfg := cl.appCtrlCfg(cl.apps[0])
 	if cfg.RebalanceEvery > 0 {
 		cl.rebal = placement.NewRebalancer(placement.RebalancerConfig{
-			Policy:     cl.policy,
-			View:       cl.PlacementView,
-			Migrate:    cl.rebalanceMigrate,
-			Hysteresis: cfg.RebalanceHysteresis,
-			MaxMoves:   cfg.RebalanceMaxMoves,
+			Policy:  cl.policy,
+			View:    cl.PlacementView,
+			Migrate: cl.rebalanceMigrate,
 		})
 		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.RebalanceEvery, Step: cl.rebal.Step})
 	}
@@ -461,19 +438,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		cl.elastic = elastic.NewEngine(ecfg, hooks)
 		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.ElasticEvery, Step: cl.elastic.Step})
-	}
-	if cfg.HAEvery > 0 {
-		rcfg := replica.Config{
-			ProtectAbove: cfg.ProtectAbove,
-			DemoteBelow:  cfg.DemoteBelow,
-			MaxStandbys:  cfg.MaxStandbys,
-			Cooldown:     cfg.HACooldown,
-		}
-		if rcfg.Cooldown <= 0 {
-			rcfg.Cooldown = 2 * cfg.HAEvery
-		}
-		cl.haPlanner = replica.New(rcfg)
-		ctrlCfg.Loops = append(ctrlCfg.Loops, controller.Loop{Every: cfg.HAEvery, Step: cl.haStep})
 	}
 	if cfg.ArbiterEvery > 0 && multi && len(cl.apps) > 1 {
 		cl.arb = tenant.NewArbiter(tenant.Config{
@@ -630,29 +594,36 @@ func (cl *Cluster) Start(ctx context.Context) error {
 		return errors.New("cluster: already started")
 	}
 	cl.rootCtx = ctx
-	g := cl.graph
-	// Build all edge grids first (downstream in-edge rows define ports).
-	for _, id := range g.Nodes() {
-		for _, inc := range cl.expandedLocked(id) {
-			cl.inEdges[inc] = cl.freshInGridLocked(id, inc)
-		}
-	}
-	for _, id := range g.Nodes() {
-		for _, inc := range cl.expandedLocked(id) {
-			h, _, _, err := cl.buildHAU(inc, nil)
-			if err != nil {
-				return err
-			}
-			cl.haus[inc] = h
-		}
-	}
-	cl.installControllerHAUs()
-	for id, h := range cl.haus {
-		hctx, cancel := context.WithCancel(ctx)
-		cl.cancels[id] = cancel
-		h.Start(hctx)
+	if err := cl.launchFreshLocked(cl.graph.Nodes()); err != nil {
+		return err
 	}
 	cl.started = true
+	return nil
+}
+
+// launchFreshLocked wires, builds and starts a stateless incarnation of
+// each of the unsplit graph ids, already placed. Every edge grid is built
+// first: downstream in-edge rows define the upstreams' ports. The
+// incarnations start in map order, not graph order: the order HAU
+// goroutines start in shifts a deployment's steady-state latency (see
+// EXPERIMENTS.md, "One driver for live topology changes"). Held lock:
+// cl.mu.
+func (cl *Cluster) launchFreshLocked(ids []string) error {
+	for _, id := range ids {
+		cl.inEdges[id] = cl.freshInGridLocked(id, id)
+	}
+	launches := make(map[string]launch, len(ids))
+	for _, id := range ids {
+		l, _, err := cl.installLocked(id, cl.hauNode[id], cl.inEdges[id], nil)
+		if err != nil {
+			return err
+		}
+		launches[id] = l
+	}
+	cl.installControllerHAUs()
+	for _, l := range launches {
+		l.h.Start(l.ctx)
+	}
 	return nil
 }
 
@@ -882,12 +853,8 @@ func (cl *Cluster) ackUpstream(down string, inPort int, seq uint64) {
 	if pres == nil {
 		return
 	}
-	// The upstream's output port for this edge.
-	for outPort, d := range g.Downstream(up) {
-		if d == down {
-			pres.Trim(outPort, seq)
-			return
-		}
+	if outPort := g.OutPortOf(up, down); outPort >= 0 {
+		pres.Trim(outPort, seq)
 	}
 }
 
@@ -943,7 +910,7 @@ func (cl *Cluster) KillNode(idx int) {
 	}
 	// Standbys hosted on the dead node die with it. Drop their tees, or
 	// the upstream eventually blocks on the unconsumed mirror; the entry
-	// is removed so the HA loop can re-arm protection later.
+	// is removed so a later ProtectHAU can re-arm protection.
 	type teeDrop struct {
 		uh     *spe.HAU
 		port   int
@@ -1116,8 +1083,8 @@ func (cl *Cluster) recoverApp(ctx context.Context, a *appState) (RecoveryStats, 
 		}
 	}
 	// The app's standbys roll back with it: the rebuild below rewires its
-	// every edge from scratch, so armed tees cannot survive. The HA loop
-	// re-arms protection on a later tick.
+	// every edge from scratch, so armed tees cannot survive; a later
+	// ProtectHAU re-arms protection.
 	for id, sb := range cl.standbys {
 		if cl.appOf(id) != a {
 			continue
@@ -1523,13 +1490,7 @@ func (cl *Cluster) RecoverHAU(ctx context.Context, id string) (RecoveryStats, er
 		if uh == nil {
 			continue
 		}
-		outPort := -1
-		for p, d := range g.Downstream(up) {
-			if d == id {
-				outPort = p
-				break
-			}
-		}
+		outPort := g.OutPortOf(up, id)
 		if outPort < 0 {
 			continue
 		}

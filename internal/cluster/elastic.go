@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"meteorshower/internal/elastic"
-	"meteorshower/internal/partition"
 	"meteorshower/internal/placement"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
@@ -207,7 +206,7 @@ func (cl *Cluster) CanDrain(idx int) bool {
 		if nd != idx {
 			continue
 		}
-		if partition.IsReplica(id) || cl.parts[id] != nil || cl.migrating[id] || cl.haPinnedLocked(id) {
+		if !cl.movableLocked(id) {
 			return false
 		}
 	}
@@ -285,7 +284,7 @@ func (cl *Cluster) elasticSample() elastic.Sample {
 		}
 		st := &s.Nodes[nd]
 		st.HAUs++
-		if !partition.IsReplica(id) && cl.parts[id] == nil && !cl.migrating[id] && !cl.haPinnedLocked(id) {
+		if cl.movableLocked(id) {
 			st.CanMove++
 		}
 		if h := cl.haus[id]; h != nil {

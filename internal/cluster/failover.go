@@ -9,7 +9,6 @@ import (
 	"meteorshower/internal/metrics"
 	"meteorshower/internal/partition"
 	"meteorshower/internal/placement"
-	"meteorshower/internal/replica"
 	"meteorshower/internal/spe"
 	"meteorshower/internal/tuple"
 )
@@ -122,19 +121,6 @@ func (cl *Cluster) Protected(id string) bool {
 	return cl.standbys[id] != nil
 }
 
-// ProtectedIDs returns the protected HAUs in deterministic graph order.
-func (cl *Cluster) ProtectedIDs() []string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	var out []string
-	for _, id := range cl.graph.Nodes() {
-		if cl.standbys[id] != nil {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // StandbyHAU exposes the armed standby incarnation for id (nil when
 // unprotected) — tests assert on its suppression counters.
 func (cl *Cluster) StandbyHAU(id string) *spe.HAU {
@@ -191,168 +177,90 @@ func (cl *Cluster) SetFailoverObserver(fn func(id, step string)) {
 	cl.mu.Unlock()
 }
 
-// ProtectHAU arms an active standby for HAU id — the replication half of
-// hybrid fault tolerance:
-//
-//  1. Quiesce: like migration, one fresh checkpoint epoch is driven to
-//     completion with the controller's triggers paused, so no token
-//     alignment is in flight when the tee's cut token enters the stream.
-//  2. Tee: the single upstream gets CmdTeeOut — it flushes its pending
-//     batch plus a migration token to the main edge, then starts copying
-//     every subsequent stamped tuple onto a fresh mirror edge. The token
-//     is the cut: everything before it reaches only the primary,
-//     everything after it reaches both.
-//  3. Clone: the primary gets CmdStandbySnap — it drains to the token
-//     barrier, serializes its state onto the reply channel, and KEEPS
-//     RUNNING (unlike a migration drain).
-//  4. Arm: a standby incarnation is restored from the blob on a
-//     rack-disjoint node (placement.StandbyNode; a single-rack fleet
-//     falls back to co-rack with a logged warning) with the mirror as its
-//     only input and the SAME downstream edges. Because its restored
-//     output sequence counters equal the primary's at the cut, it
-//     executes the identical post-cut stream and would stamp identical
-//     sequence numbers — so its output is suppressed into a bounded ring
-//     and the downstream dedup that already guards recovery replay makes
-//     an eventual promotion exactly-once with no rollback.
-//
-// Only single-input interior operators qualify (one unsplit upstream,
-// at least one downstream — a standby sink would double-deliver to the
-// world), no neighbour may be split or already protected, and load
-// shedding must be off (a shed is a divergence between the two
-// incarnations' streams).
+// ProtectHAU arms an active standby for HAU id, as a plan for
+// reconfigure. The single upstream gets CmdTeeOut (a fence token on the
+// main edge, then every later tuple copied to a fresh mirror), and the
+// primary drains with CmdStandbySnap and KEEPS RUNNING. The standby is
+// restored from its blob on a rack-disjoint node when one is alive, fed by
+// the mirror alone, with the primary's output edges and its output
+// suppressed into a ring until FailoverHAU promotes it. A give-up after
+// the tee drops the tee. Only single-input interior operators with no
+// split neighbour qualify, and load shedding must be off (a shed makes
+// the two incarnations' streams diverge). The change pins id and its
+// upstream.
 func (cl *Cluster) ProtectHAU(ctx context.Context, id string) (ProtectStats, error) {
-	var stats ProtectStats
-	stats.HAU = id
+	stats := ProtectStats{HAU: id}
 	if !cl.cfg.Scheme.OneHopTokens() {
 		return stats, errors.New("cluster: active-standby replication requires a one-hop token scheme (MS-src+ap)")
 	}
 	if cl.cfg.ShedWatermark > 0 {
 		return stats, errors.New("cluster: active-standby replication requires exactly-once (disable load shedding)")
 	}
-	if partition.IsReplica(id) {
-		return stats, fmt.Errorf("cluster: replica %q cannot be protected; protect the base operator", id)
-	}
-
-	cl.mu.Lock()
-	if !cl.started {
-		cl.mu.Unlock()
-		return stats, errors.New("cluster: not started")
-	}
-	h := cl.haus[id]
-	if h == nil {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: unknown HAU %q", id)
-	}
-	g := cl.graph
-	ups, downs := g.Upstream(id), g.Downstream(id)
-	if len(ups) != 1 || len(downs) == 0 {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q is not a single-input interior operator", id)
-	}
-	up := ups[0]
-	if cl.parts[id] != nil || cl.parts[up] != nil {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q or its upstream is split; merge before protecting", id)
-	}
-	for _, dn := range downs {
-		if cl.parts[dn] != nil {
-			cl.mu.Unlock()
-			return stats, fmt.Errorf("cluster: downstream %q of %q is split; merge before protecting", dn, id)
+	c, err := cl.reconfigure(ctx, "protection", id, ErrFailoverAborted, func(c *change) error {
+		g := cl.graph
+		ups, downs := g.Upstream(id), g.Downstream(id)
+		if len(ups) != 1 || len(downs) == 0 {
+			return fmt.Errorf("cluster: HAU %q is not a single-input interior operator", id)
 		}
-	}
-	if cl.standbys[id] != nil {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q already protected", id)
-	}
-	if cl.haPinnedLocked(id) {
-		// A neighbour is protected: its tee/mirror wiring would not
-		// survive this HAU's own clone-and-rewire.
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q is adjacent to a protected HAU", id)
-	}
-	if cl.migrating[id] || cl.rescaling[id] || cl.migrating[up] || cl.rescaling[up] {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q or its upstream is mid-migration or mid-rescale", id)
-	}
-	uh := cl.haus[up]
-	if uh == nil {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: upstream %q of %q not running", up, id)
-	}
-	primaryNode := cl.hauNode[id]
-	sbNode, rackDisjoint := placement.StandbyNode(primaryNode, cl.viewLocked(nil))
-	if sbNode < 0 {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: no node available to host a standby for %q", id)
-	}
-	upPort := g.PortOf(up, id)
-	// Pin both ends of the tee against concurrent migrate/rescale/drain
-	// for the duration of the arm; cl.standbys takes over on success.
-	cl.migrating[id] = true
-	cl.migrating[up] = true
-	a := cl.appOf(id)
-	grd := cl.appGuardLocked(a, ErrFailoverAborted)
-	rootCtx := cl.rootCtx
-	cl.mu.Unlock()
-	defer func() {
-		cl.mu.Lock()
-		delete(cl.migrating, id)
-		delete(cl.migrating, up)
-		cl.mu.Unlock()
-	}()
-	stats.Primary, stats.Standby, stats.RackDisjoint = primaryNode, sbNode, rackDisjoint
-	if !rackDisjoint {
-		cl.logf("cluster: standby for %q placed on node %d in the primary's rack (no alive node outside it) — a rack failure kills both", id, sbNode)
-	}
-
-	a.ctrl.PauseCheckpoints()
-	defer a.ctrl.ResumeCheckpoints()
-	if _, err := grd.quiesce(ctx); err != nil {
+		up := ups[0]
+		if cl.parts[id] != nil || cl.parts[up] != nil {
+			return fmt.Errorf("cluster: HAU %q or its upstream is split; merge before protecting", id)
+		}
+		for _, dn := range downs {
+			if cl.parts[dn] != nil {
+				return fmt.Errorf("cluster: downstream %q of %q is split; merge before protecting", dn, id)
+			}
+		}
+		uh := cl.haus[up]
+		if uh == nil {
+			return fmt.Errorf("cluster: upstream %q of %q not running", up, id)
+		}
+		stats.Primary = cl.hauNode[id]
+		stats.Standby, stats.RackDisjoint = placement.StandbyNode(stats.Primary, cl.viewLocked(nil))
+		if stats.Standby < 0 {
+			return fmt.Errorf("cluster: no node available to host a standby for %q", id)
+		}
+		sbNode, upPort := stats.Standby, g.OutPortOf(up, id)
+		c.pins = []string{id, up}
+		c.drain, c.snap = []*spe.HAU{cl.haus[id]}, spe.CmdStandbySnap
+		var mirror *spe.Edge
+		c.divert = func() ([]order, error) {
+			if cl.haus[up] != uh || !cl.nodes[sbNode].alive.Load() {
+				return nil, c.grd.errf("upstream or standby node changed before the tee")
+			}
+			mirror = spe.NewEdgeBatch(up, id, cl.cfg.EdgeBuffer, cl.cfg.EdgeBatch)
+			return []order{{h: uh, cmd: spe.Command{Kind: spe.CmdTeeOut, Port: upPort, Edge: mirror}}}, nil
+		}
+		rootCtx := cl.rootCtx
+		c.abandon = func() { cl.dropTee(rootCtx, uh, upPort, mirror) }
+		c.commit = func(blobs [][]byte) ([]launch, []order, error) {
+			stats.CloneBytes = int64(len(blobs[0]))
+			if !cl.nodes[sbNode].alive.Load() {
+				return nil, nil, c.grd.errf("standby node %d died during the clone", sbNode)
+			}
+			cfg, _ := cl.prepareHAU(id)
+			cfg.In = []*spe.Edge{mirror}
+			cfg.InLogical = []int{0}
+			cfg.CPU = cl.nodes[sbNode].cpu
+			cfg.Standby = true
+			cfg.StandbyRing = cl.cfg.StandbyRing
+			sb, _, err := constructHAU(cfg, blobs[0])
+			if err != nil {
+				return nil, nil, fmt.Errorf("cluster: standby restore of %q: %w", id, err)
+			}
+			sctx, cancel := context.WithCancel(rootCtx)
+			cl.standbys[id] = &standbyState{h: sb, cancel: cancel, node: sbNode, up: up, upPort: upPort, mirror: mirror}
+			return []launch{{sb, sctx}}, nil, nil
+		}
+		return nil
+	})
+	if err != nil {
 		return stats, err
 	}
-
-	cl.mu.Lock()
-	if grd.supersededLocked() || cl.haus[id] != h || cl.haus[up] != uh || !cl.nodes[sbNode].alive.Load() {
-		cl.mu.Unlock()
-		return stats, grd.errf("superseded before tee")
+	if !stats.RackDisjoint {
+		cl.logf("cluster: standby for %q placed on node %d in the primary's rack (no alive node outside it) — a rack failure kills both", id, stats.Standby)
 	}
-	mirror := spe.NewEdgeBatch(up, id, cl.cfg.EdgeBuffer, cl.cfg.EdgeBatch)
-	cl.mu.Unlock()
-
-	drainStart := time.Now()
-	uh.Command(spe.Command{Kind: spe.CmdTeeOut, Port: upPort, Edge: mirror})
-	reply := make(chan []byte, 1)
-	h.Command(spe.Command{Kind: spe.CmdStandbySnap, Reply: reply})
-	blob, err := grd.drainBlob(ctx, id, h, reply, time.After(drainTimeout))
-	if err != nil {
-		cl.dropTee(rootCtx, uh, upPort, mirror)
-		return stats, err
-	}
-	stats.Drain = time.Since(drainStart)
-	stats.CloneBytes = int64(len(blob))
-
-	cl.mu.Lock()
-	if grd.supersededLocked() || cl.haus[id] != h || !cl.nodes[sbNode].alive.Load() {
-		cl.mu.Unlock()
-		cl.dropTee(rootCtx, uh, upPort, mirror)
-		return stats, grd.errf("superseded during clone")
-	}
-	cfg, _ := cl.prepareHAU(id)
-	cfg.In = []*spe.Edge{mirror}
-	cfg.InLogical = []int{0}
-	cfg.CPU = cl.nodes[sbNode].cpu
-	cfg.Standby = true
-	cfg.StandbyRing = cl.cfg.StandbyRing
-	sb, _, err := constructHAU(cfg, blob)
-	if err != nil {
-		cl.mu.Unlock()
-		cl.dropTee(rootCtx, uh, upPort, mirror)
-		return stats, fmt.Errorf("cluster: standby restore of %q: %w", id, err)
-	}
-	sctx, cancel := context.WithCancel(rootCtx)
-	cl.standbys[id] = &standbyState{h: sb, cancel: cancel, node: sbNode, up: up, upPort: upPort, mirror: mirror}
-	cl.mu.Unlock()
-	sb.Start(sctx)
+	stats.Drain = c.drained
 	return stats, nil
 }
 
@@ -393,18 +301,18 @@ func (cl *Cluster) DemoteHAU(id string) error {
 // is touched — the availability gap is one edge switchover.
 //
 // The promoted incarnation takes over the protected id; the HAU is then
-// UNPROTECTED until the HA loop (or a caller) arms a fresh standby via
-// ProtectHAU. Aborts (standby or upstream died too, or a recovery
+// UNPROTECTED until a caller arms a fresh standby via ProtectHAU. Aborts (standby or upstream died too, or a recovery
 // superseded the promotion) leave rollback as the fallback — see
 // HybridRecover.
 func (cl *Cluster) FailoverHAU(ctx context.Context, id string) (FailoverStats, error) {
-	var stats FailoverStats
-	stats.HAU = id
+	stats := FailoverStats{HAU: id}
 	cl.mu.Lock()
 	if !cl.started {
 		cl.mu.Unlock()
 		return stats, errors.New("cluster: not started")
 	}
+	a := cl.appOf(id)
+	grd := cl.appGuardLocked(a, ErrFailoverAborted)
 	sb := cl.standbys[id]
 	if sb == nil {
 		cl.mu.Unlock()
@@ -418,15 +326,13 @@ func (cl *Cluster) FailoverHAU(ctx context.Context, id string) (FailoverStats, e
 	}
 	if !cl.nodes[sb.node].alive.Load() {
 		cl.mu.Unlock()
-		return stats, grdlessAbort("standby node %d died too", sb.node)
+		return stats, grd.errf("standby node %d died too", sb.node)
 	}
 	uh := cl.haus[sb.up]
 	if uh == nil || !cl.nodes[cl.hauNode[sb.up]].alive.Load() {
 		cl.mu.Unlock()
-		return stats, grdlessAbort("upstream %q is dead; rollback must heal both", sb.up)
+		return stats, grd.errf("upstream %q is dead; rollback must heal both", sb.up)
 	}
-	a := cl.appOf(id)
-	grd := cl.appGuardLocked(a, ErrFailoverAborted)
 	mainIn := cl.inEdges[id]
 	rootCtx := cl.rootCtx
 	obs := cl.failObs
@@ -506,12 +412,6 @@ func (cl *Cluster) FailoverHAU(ctx context.Context, id string) (FailoverStats, e
 	return stats, nil
 }
 
-// grdlessAbort wraps ErrFailoverAborted before a guard exists (the
-// pre-flight checks).
-func grdlessAbort(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrFailoverAborted}, args...)...)
-}
-
 // HybridRecover heals a failure the hybrid way: when every dead HAU is
 // protected, each is promoted onto its standby (sub-window availability
 // gap); otherwise — or when any promotion aborts — the whole application
@@ -543,60 +443,4 @@ func (cl *Cluster) HybridRecover(ctx context.Context) (failovers int, rolledBack
 	}
 	_, rerr := cl.RecoverAllWithRetry(ctx, 10, 2*time.Millisecond)
 	return 0, true, rerr
-}
-
-// haStep is the controller's HA tick: feed the replica planner the
-// current per-HAU stats and execute at most one mode change. Installed as
-// a controller.Loop when Config.HAEvery is set.
-func (cl *Cluster) haStep() (int, error) {
-	cl.mu.Lock()
-	if !cl.started || cl.haPlanner == nil {
-		cl.mu.Unlock()
-		return 0, nil
-	}
-	ctx := cl.rootCtx
-	g := cl.graph
-	var rollback time.Duration
-	if cl.cfg.Metrics != nil {
-		if rs := cl.cfg.Metrics.Recoveries(); len(rs) > 0 {
-			rollback = rs[len(rs)-1].Total
-		}
-	}
-	var stats []replica.Stat
-	for _, id := range g.Nodes() {
-		ups, downs := g.Upstream(id), g.Downstream(id)
-		if len(ups) != 1 || len(downs) == 0 {
-			continue
-		}
-		if cl.parts[id] != nil || cl.parts[ups[0]] != nil {
-			continue
-		}
-		h := cl.haus[id]
-		if h == nil {
-			continue
-		}
-		stats = append(stats, replica.Stat{
-			HAU:         id,
-			StateBytes:  h.CachedStateSize(),
-			RecoverTime: rollback,
-			Protected:   cl.standbys[id] != nil,
-		})
-	}
-	now := time.Unix(0, cl.cfg.Now())
-	act, ok := cl.haPlanner.Step(now, stats)
-	cl.mu.Unlock()
-	if !ok {
-		return 0, nil
-	}
-	switch act.Mode {
-	case replica.ModeStandby:
-		if _, err := cl.ProtectHAU(ctx, act.HAU); err != nil {
-			return 0, err
-		}
-	case replica.ModeCheckpoint:
-		if err := cl.DemoteHAU(act.HAU); err != nil {
-			return 0, err
-		}
-	}
-	return 1, nil
 }

@@ -304,6 +304,71 @@ func TestProtectPinsNeighbours(t *testing.T) {
 	}
 }
 
+// TestProtectTeesItsOwnPort protects A while its upstream S also feeds X on
+// an earlier output port. The tee, and the swap at failover, must sit on
+// S's port toward A: on X's port, X's stream would be the one mirrored and
+// then cut off at the promotion.
+func TestProtectTeesItsOwnPort(t *testing.T) {
+	col := metrics.NewCollector()
+	g := graph.New()
+	for _, id := range []string{"S", "X", "A", "K"} {
+		g.MustAddNode(id)
+	}
+	g.MustAddEdge("S", "X")
+	g.MustAddEdge("S", "A")
+	g.MustAddEdge("X", "K")
+	g.MustAddEdge("A", "K")
+	local, shared := fastSpecs()
+	cl, err := New(Config{
+		App: AppSpec{Name: "fan-out", Graph: g, NewOperators: func(id string) []operator.Operator {
+			switch id {
+			case "S":
+				return []operator.Operator{operator.NewRateSource("S", 3, 7, operator.BytePayload(16, 4))}
+			case "K":
+				return []operator.Operator{operator.NewSink("K", col)}
+			default:
+				return []operator.Operator{operator.NewPassthrough(id, 1)}
+			}
+		}},
+		Scheme:        spe.MSSrcAP,
+		Nodes:         4,
+		NodesPerRack:  2,
+		Placement:     placement.RackSpread{},
+		LocalDiskSpec: local,
+		SharedSpec:    shared,
+		TickEvery:     time.Millisecond,
+		SourceFlush:   256,
+		Seed:          1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := cl.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.StopAll()
+	waitFor(t, 5*time.Second, "initial flow", func() bool { return cl.HAU("K").ProcessedCount() > 100 })
+	if _, err := cl.ProtectHAU(ctx, "A"); err != nil {
+		t.Fatalf("ProtectHAU: %v", err)
+	}
+	pNode := cl.NodeOf("A")
+	for _, id := range []string{"S", "X", "K"} {
+		if cl.NodeOf(id) == pNode {
+			t.Fatalf("placement put %s beside A on node %d; the kill below must take A alone", id, pNode)
+		}
+	}
+	cl.KillNode(pNode)
+	if _, err := cl.FailoverHAU(ctx, "A"); err != nil {
+		t.Fatalf("FailoverHAU: %v", err)
+	}
+	x, a := cl.HAU("X").ProcessedCount(), cl.HAU("A").ProcessedCount()
+	waitFor(t, 5*time.Second, "both branches flowing after the promotion", func() bool {
+		return cl.HAU("X").ProcessedCount() > x+200 && cl.HAU("A").ProcessedCount() > a+200
+	})
+}
+
 // TestHybridRecoverRollsBackUnprotected: when the dead set includes an
 // unprotected HAU, HybridRecover must fall back to whole-app rollback.
 func TestHybridRecoverRollsBackUnprotected(t *testing.T) {

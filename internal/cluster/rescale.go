@@ -1,10 +1,8 @@
 // Keyed-state re-partitioning: splitting a hot operator's key space across
 // several HAU replicas and merging cold replicas back, live and
-// exactly-once. The mechanism composes three existing pieces — the quiesce
-// epoch and migration-token barrier from live migration, the slot-table
-// state layout from the partition package, and the blob-v2 per-operator
-// sections from incremental checkpointing — so a split never re-encodes
-// operator state: it carves the drained slot tables by owner, and a merge
+// exactly-once. A rescale is a plan for reconfigure (reconfig.go); its
+// re-shard never re-encodes operator state, because the drained blob-v2
+// sections are slot tables: a split carves them by owner, and a merge
 // concatenates them.
 package cluster
 
@@ -197,30 +195,13 @@ func (cl *Cluster) SplitHAU(ctx context.Context, id string, n int) (RescaleStats
 	if n < 2 {
 		return RescaleStats{}, fmt.Errorf("cluster: split needs at least 2 replicas, got %d", n)
 	}
-	return cl.RescaleHAU(ctx, id, n)
-}
-
-// SplitHAUWeighted is SplitHAU with per-slot load weights: the new slot
-// assignment equalizes weighted load across the replicas instead of slot
-// counts. Nil weights fall back to the operator's observed load (tuples
-// routed, else state bytes), which for a first split of an unobserved
-// operator degrades to the count-balanced assignment.
-func (cl *Cluster) SplitHAUWeighted(ctx context.Context, id string, n int, w partition.Weights) (RescaleStats, error) {
-	if n < 2 {
-		return RescaleStats{}, fmt.Errorf("cluster: split needs at least 2 replicas, got %d", n)
-	}
-	if w == nil {
-		cl.mu.Lock()
-		w = cl.observedWeightsLocked(id)
-		cl.mu.Unlock()
-	}
-	return cl.rescaleHAU(ctx, id, n, w, false)
+	return cl.RescaleHAU(ctx, id, n, nil)
 }
 
 // MergeHAU merges a split operator back into a single HAU: the replicas'
 // slot tables are concatenated and the key routers removed.
 func (cl *Cluster) MergeHAU(ctx context.Context, id string) (RescaleStats, error) {
-	return cl.RescaleHAU(ctx, id, 1)
+	return cl.RescaleHAU(ctx, id, 1, nil)
 }
 
 // RebalanceHAU redistributes slots between a split operator's EXISTING
@@ -279,301 +260,226 @@ func (cl *Cluster) LoadShares(id string, w partition.Weights) ([]float64, float6
 }
 
 // RescaleHAU re-partitions operator id to n replicas, live and
-// exactly-once:
-//
-//  1. Quiesce: checkpoint triggers pause, then one fresh epoch is driven to
-//     completion so no token alignment is in flight.
-//  2. Divert: every upstream incarnation gets CmdRescaleOut — it flushes a
-//     migration token onto each OLD edge of the port, then swaps the port
-//     to fresh edges feeding the new incarnations, routed by the new slot
-//     assignment.
-//  3. Drain: each old incarnation processes up to the tokens, flushes its
-//     outputs, hands its state blob over, and exits.
-//  4. Re-shard: the drained blob-v2 sections are slot tables — a split
-//     carves each table by slot owner, a merge concatenates the replicas'
-//     tables. No operator-level re-encode happens.
-//  5. Restore: the new incarnations start from synthesized blobs (fresh
-//     runtime section, carved operator sections); downstream incarnations
-//     attach the new input ports once the old ports hang up, which orders
-//     old-incarnation output strictly before new-incarnation output.
-//  6. Commit: a forced checkpoint epoch records the new membership, and
-//     the geometry journal maps that epoch to the new replica set so a
-//     later recovery rebuilds the matching topology.
-//
-// Under the unaligned scheme the quiesce and commit epochs complete without
-// stalling (captures log channel tuples instead of pausing ports), and any
-// capture still armed when a CmdRescaleOut migration token reaches an HAU is
-// force-sealed (aborted) by the HAU itself — once upstreams divert to fresh
-// edges the capture's remaining tokens may never arrive, and the drain must
-// not wait on a never-pausing port. A capture that can never seal surfaces
-// as a quiesce timeout wrapped in ErrRescaleAborted.
-func (cl *Cluster) RescaleHAU(ctx context.Context, id string, n int) (RescaleStats, error) {
-	return cl.rescaleHAU(ctx, id, n, nil, false)
+// exactly-once, as a plan for reconfigure. Nil w balances slot counts;
+// per-slot weights w balance weighted load instead. Upstream incarnations
+// get CmdRescaleOut, the old incarnations drain with CmdMigrateSnap, their
+// slot tables are merged and carved by the new owners, the downstream
+// incarnations attach the new ports (CmdAddInPort), and the commit epoch
+// is journalled with the new geometry for recovery.
+func (cl *Cluster) RescaleHAU(ctx context.Context, id string, n int, w partition.Weights) (RescaleStats, error) {
+	return cl.rescaleHAU(ctx, id, n, w, false)
 }
 
-// rescaleHAU is the shared core behind RescaleHAU, SplitHAUWeighted and
-// RebalanceHAU. Weights (when non-empty) drive the new slot assignment so
-// replicas equalize load rather than slot counts; rebalance keeps the
-// replica count (n is ignored) and only shifts slot ownership between
-// fresh incarnations of the existing replica set.
-func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition.Weights, rebalance bool) (RescaleStats, error) {
-	var stats RescaleStats
-	if cl.cfg.Scheme == spe.Baseline {
-		return stats, errors.New("cluster: rescale requires a token scheme (not Baseline)")
-	}
-	if !rebalance && n < 1 {
-		return stats, fmt.Errorf("cluster: rescale to %d replicas", n)
-	}
-	if partition.IsReplica(id) {
-		return stats, fmt.Errorf("cluster: rescale targets the base id, not replica %q", id)
-	}
+// rescale is one split, merge or rebalance in flight: the state
+// rescaleHAU's plan hooks share.
+type rescale struct {
+	cl        *Cluster
+	app       *appState
+	id        string
+	n         int
+	w         partition.Weights
+	rebalance bool
+	stats     RescaleStats
 
-	cl.mu.Lock()
-	if !cl.started {
-		cl.mu.Unlock()
-		return stats, errors.New("cluster: not started")
+	oldIncs, newIncs []string
+	assign           *partition.Assignment // the new geometry, built at divert
+	router           *partition.Router
+	nodeOf           map[string]int
+	inGrids          map[string][][]*spe.Edge // input grid of each new incarnation
+	rows             []downRow
+	opSecs           [][][]byte // per new incarnation, its carved operator sections
+	localEpoch       uint64
+	stateBytes       partition.Weights
+	restoreStart     time.Time
+}
+
+// downRow replaces a downstream incarnation's input edges from the
+// rescaled operator: row[j] is the edge from new incarnation j, matching
+// its slot-owner index.
+type downRow struct {
+	dinc string
+	port int
+	row  []*spe.Edge
+}
+
+// rescaleHAU is the plan behind RescaleHAU and RebalanceHAU. Weights (when
+// non-empty) drive the new slot assignment; rebalance keeps the replica
+// count (n is ignored) and only shifts slot ownership between fresh
+// incarnations of the existing replica set.
+func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition.Weights, rebalance bool) (RescaleStats, error) {
+	r := &rescale{cl: cl, id: id, n: n, w: w, rebalance: rebalance, stats: RescaleStats{HAU: id}}
+	if !rebalance && n < 1 {
+		return r.stats, fmt.Errorf("cluster: rescale to %d replicas", n)
 	}
+	c, err := cl.reconfigure(ctx, "rescale", id, ErrRescaleAborted, r.plan)
+	if err == errNoChange {
+		return r.stats, nil
+	}
+	if c != nil && !c.up.IsZero() {
+		r.stats.Drain = c.drained
+		r.stats.Restore = c.up.Sub(r.restoreStart)
+		r.stats.Downtime = c.up.Sub(c.down)
+		r.stats.Replicas = r.newIncs
+	}
+	if err != nil {
+		return r.stats, err
+	}
+	r.record()
+	return r.stats, nil
+}
+
+// plan is the rescale's pre-flight: it validates the target geometry and
+// fills in the change. Held lock: cl.mu.
+func (r *rescale) plan(c *change) error {
+	cl, id := r.cl, r.id
 	g := cl.graph
 	if len(g.Upstream(id)) == 0 || len(g.Downstream(id)) == 0 {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: only interior operators rescale, not %q", id)
+		return fmt.Errorf("cluster: only interior operators rescale, not %q", id)
 	}
-	oldIncs := append([]string(nil), cl.expandedLocked(id)...)
-	m := len(oldIncs)
-	if rebalance {
+	r.oldIncs = append([]string(nil), cl.expandedLocked(id)...)
+	m := len(r.oldIncs)
+	if r.rebalance {
 		if m < 2 {
-			cl.mu.Unlock()
-			return stats, fmt.Errorf("cluster: rebalance of %q needs a split operator, have %d replica(s)", id, m)
+			return fmt.Errorf("cluster: rebalance of %q needs a split operator, have %d replica(s)", id, m)
 		}
-		n = m
-	} else if m == n {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q already has %d replicas", id, n)
+		r.n = m
+	} else if m == r.n {
+		return fmt.Errorf("cluster: HAU %q already has %d replicas", id, r.n)
 	}
-	if cl.rescaling[id] || cl.migrating[id] {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q already rescaling or migrating", id)
-	}
-	if cl.haPinnedLocked(id) {
-		cl.mu.Unlock()
-		return stats, fmt.Errorf("cluster: HAU %q is pinned by active-standby replication (protected or adjacent to a protected HAU); demote first", id)
-	}
-	app := cl.appOf(id)
-	slots, err := probeSlots(cl.newOperators(app, id))
+	r.stats.From, r.stats.To = m, r.n
+	r.app = c.grd.app
+	slots, err := probeSlots(cl.newOperators(r.app, id))
 	if err != nil {
-		cl.mu.Unlock()
-		return stats, err
+		return err
 	}
-	var oldAssign *partition.Assignment
 	if ps := cl.parts[id]; ps != nil {
-		oldAssign = ps.Assign.Clone()
+		r.assign = ps.Assign.Clone()
+	} else {
+		r.assign = partition.NewAssignment(slots)
 	}
-	if rebalance {
-		// A table the weights cannot improve is a no-op: don't drain a
-		// healthy replica set for nothing.
-		if oldAssign == nil || len(oldAssign.Clone().Rebalance(w)) == 0 {
-			cl.mu.Unlock()
-			stats.HAU, stats.From, stats.To = id, m, m
-			stats.Replicas = oldIncs
-			return stats, nil
-		}
+	// A table the weights cannot improve is a no-op: don't drain a healthy
+	// replica set for nothing.
+	if r.rebalance && len(r.assign.Clone().Rebalance(r.w)) == 0 {
+		r.stats.Replicas = r.oldIncs
+		return errNoChange
 	}
-	cl.rescaling[id] = true
-	grd := cl.appGuardLocked(app, ErrRescaleAborted)
-	cl.mu.Unlock()
-	defer func() {
-		cl.mu.Lock()
-		delete(cl.rescaling, id)
-		cl.mu.Unlock()
-	}()
-	stats.HAU, stats.From, stats.To = id, m, n
+	for _, oinc := range r.oldIncs {
+		c.drain = append(c.drain, cl.haus[oinc])
+	}
+	c.snap = spe.CmdMigrateSnap
+	c.divert = func() ([]order, error) { return r.divertLocked(c.grd) }
+	c.reshape = r.reshard
+	c.commit = r.commitLocked
+	c.commitEpoch = func(ep uint64) {
+		r.app.geom = append(r.app.geom, geomEntry{epoch: ep, parts: cl.snapshotPartsLocked(r.app)})
+	}
+	return nil
+}
 
-	// Phase 1: quiesce (see MigrateHAU for why a FRESH epoch is driven).
-	app.ctrl.PauseCheckpoints()
-	defer app.ctrl.ResumeCheckpoints()
-	if _, err := grd.quiesce(ctx); err != nil {
-		return stats, err
-	}
-
-	// Build the target geometry and all new edges under the lock, but do not
-	// install any of it yet — the commit below re-checks the generation.
-	cl.mu.Lock()
-	if grd.supersededLocked() {
-		cl.mu.Unlock()
-		return stats, grd.errf("superseded before divert")
-	}
-	assign := oldAssign
-	if assign == nil {
-		assign = partition.NewAssignment(slots)
-	}
-	var movedSlots []int
+// divertLocked builds the target geometry and every new edge, and returns
+// the CmdRescaleOut of each upstream incarnation. Nothing is installed
+// yet: the commit re-checks the guard first. Held lock: cl.mu.
+func (r *rescale) divertLocked(grd opGuard) ([]order, error) {
+	cl, id, n := r.cl, r.id, r.n
+	g := cl.graph
+	var moved []int
 	switch {
-	case rebalance:
-		movedSlots = assign.Rebalance(w)
-	case len(w) > 0:
-		movedSlots = assign.RescaleWeighted(n, w)
+	case r.rebalance:
+		moved = r.assign.Rebalance(r.w)
+	case len(r.w) > 0:
+		moved = r.assign.RescaleWeighted(n, r.w)
 	default:
-		movedSlots = assign.Rescale(n)
+		moved = r.assign.Rescale(n)
 	}
-	stats.Moved = len(movedSlots)
-	var newIncs []string
+	r.stats.Moved = len(moved)
 	if n == 1 {
-		newIncs = []string{id}
+		r.newIncs = []string{id}
 	} else {
 		tag := cl.nextTag[id]
 		for j := 0; j < n; j++ {
 			tag++
-			newIncs = append(newIncs, partition.ReplicaID(id, tag))
+			r.newIncs = append(r.newIncs, partition.ReplicaID(id, tag))
 		}
 		cl.nextTag[id] = tag
 	}
-	router := partition.NewRouter(assign)
+	r.router = partition.NewRouter(r.assign)
 
 	// Place the new incarnations; the policy sees the cluster without the
 	// old incarnations (rack-spread puts replicas in distinct domains).
-	exclude := make(map[string]bool, m)
-	for _, oinc := range oldIncs {
+	exclude := make(map[string]bool, len(r.oldIncs))
+	for _, oinc := range r.oldIncs {
 		exclude[oinc] = true
 	}
-	placed := cl.policy.Assign(newIncs, cl.viewLocked(exclude))
-	nodeOf := make(map[string]int, n)
-	for _, inc := range newIncs {
+	placed := cl.policy.Assign(r.newIncs, cl.viewLocked(exclude))
+	r.nodeOf = make(map[string]int, n)
+	for _, inc := range r.newIncs {
 		nd, ok := placed[inc]
 		if !ok || nd < 0 || nd >= len(cl.nodes) || !cl.nodes[nd].alive.Load() {
-			nd = cl.firstHealthyLocked()
-			if nd < 0 {
-				cl.mu.Unlock()
-				return stats, fmt.Errorf("%w: no healthy node for %q", ErrRescaleAborted, inc)
+			if nd = cl.firstHealthyLocked(); nd < 0 {
+				return nil, grd.errf("no healthy node for %q", inc)
 			}
 		}
-		nodeOf[inc] = nd
+		r.nodeOf[inc] = nd
 	}
 
 	// Fresh input grids for the new incarnations. The upstream expansion
 	// uses the CURRENT geometry — only this operator's own row structure
 	// changes at commit.
-	newInGrids := make(map[string][][]*spe.Edge, n)
-	for _, inc := range newIncs {
-		newInGrids[inc] = cl.freshInGridLocked(id, inc)
+	r.inGrids = make(map[string][][]*spe.Edge, n)
+	for _, inc := range r.newIncs {
+		r.inGrids[inc] = cl.freshInGridLocked(id, inc)
 	}
-	// Fresh rows replacing each downstream incarnation's input edges from
-	// this operator: row[j] is the edge from new incarnation j, matching its
-	// slot-owner index.
-	type downRow struct {
-		dinc string
-		port int
-		row  []*spe.Edge
-	}
-	var rows []downRow
 	for _, down := range g.Downstream(id) {
 		dp := g.PortOf(id, down)
 		for _, dinc := range cl.expandedLocked(down) {
 			row := make([]*spe.Edge, n)
-			for j, ninc := range newIncs {
+			for j, ninc := range r.newIncs {
 				row[j] = spe.NewEdgeBatch(ninc, dinc, cl.cfg.EdgeBuffer, cl.cfg.EdgeBatch)
 			}
-			rows = append(rows, downRow{dinc, dp, row})
+			r.rows = append(r.rows, downRow{dinc, dp, row})
 		}
 	}
-	// Divert commands: every upstream incarnation swaps its out port for id
-	// to the new edge set, routed by the new assignment.
-	type divertCmd struct {
-		h   *spe.HAU
-		cmd spe.Command
-	}
-	var diverts []divertCmd
-	for upPortIdx, up := range g.Upstream(id) {
-		outPort := -1
-		for p, d := range g.Downstream(up) {
-			if d == id {
-				outPort = p
-				break
-			}
+	return cl.upstreamOrdersLocked(grd, id, func(p, k, outPort int) spe.Command {
+		edges := make([]*spe.Edge, n)
+		for j, ninc := range r.newIncs {
+			edges[j] = r.inGrids[ninc][p][k]
 		}
-		if outPort < 0 {
-			continue
+		var rt spe.KeyRouter // none when merged back: a single downstream
+		if n > 1 {
+			rt = r.router
 		}
-		for k, uinc := range cl.expandedLocked(up) {
-			uh := cl.haus[uinc]
-			if uh == nil {
-				cl.mu.Unlock()
-				return stats, fmt.Errorf("%w: upstream incarnation %q missing", ErrRescaleAborted, uinc)
-			}
-			edges := make([]*spe.Edge, n)
-			for j, ninc := range newIncs {
-				edges[j] = newInGrids[ninc][upPortIdx][k]
-			}
-			rt := spe.KeyRouter(router)
-			if n == 1 {
-				rt = nil // merged back: single downstream, no routing
-			}
-			diverts = append(diverts, divertCmd{uh, spe.Command{
-				Kind: spe.CmdRescaleOut, Port: outPort, Edges: edges, Router: rt,
-			}})
-		}
-	}
-	oldHAUs := make([]*spe.HAU, m)
-	for i, oinc := range oldIncs {
-		oldHAUs[i] = cl.haus[oinc]
-		if oldHAUs[i] == nil {
-			cl.mu.Unlock()
-			return stats, fmt.Errorf("%w: incarnation %q missing", ErrRescaleAborted, oinc)
-		}
-	}
-	cl.mu.Unlock()
+		return spe.Command{Kind: spe.CmdRescaleOut, Port: outPort, Edges: edges, Router: rt}
+	})
+}
 
-	// Phases 2+3: divert and drain every old incarnation in parallel. The
-	// migration tokens flushed by CmdRescaleOut form per-edge barriers; each
-	// old incarnation aligns on them, flushes, replies with its state, and
-	// exits.
-	drainStart := time.Now()
-	for _, d := range diverts {
-		d.h.Command(d.cmd)
-	}
-	replies := make([]chan []byte, m)
-	for i, h := range oldHAUs {
-		replies[i] = make(chan []byte, 1)
-		h.Command(spe.Command{Kind: spe.CmdMigrateSnap, Reply: replies[i]})
-	}
-	blobs := make([][]byte, m)
-	drainDeadline := time.After(drainTimeout)
-	for i, h := range oldHAUs {
-		var err error
-		if blobs[i], err = grd.drainBlob(ctx, oldIncs[i], h, replies[i], drainDeadline); err != nil {
-			return stats, err
-		}
-	}
-	stats.Drain = time.Since(drainStart)
-	// Every old incarnation has exited: the downtime window opens.
-	downStart := time.Now()
-
-	// Phase 4: re-shard. Split each blob into its runtime and per-operator
-	// sections, merge the per-operator slot tables across the old replicas,
-	// then carve by the new slot owners.
-	reshardStart := time.Now()
+// reshard splits each drained blob into its runtime and per-operator
+// sections, merges the per-operator slot tables across the old replicas,
+// then carves them by the new slot owners.
+func (r *rescale) reshard(blobs [][]byte) error {
+	start := time.Now()
+	defer func() { r.stats.Reshard = time.Since(start) }()
+	id, n, m := r.id, r.n, len(blobs)
 	opsSecs := make([][][]byte, m)
-	var localEpoch uint64
 	for i, b := range blobs {
 		rt, ops, err := spe.SplitBlob(b)
 		if err != nil {
-			return stats, fmt.Errorf("cluster: rescale of %q: blob of %q: %w", id, oldIncs[i], err)
+			return fmt.Errorf("cluster: rescale of %q: blob of %q: %w", id, r.oldIncs[i], err)
 		}
 		if i == 0 {
-			if localEpoch, err = spe.RuntimeEpoch(rt); err != nil {
-				return stats, fmt.Errorf("cluster: rescale of %q: %w", id, err)
+			if r.localEpoch, err = spe.RuntimeEpoch(rt); err != nil {
+				return fmt.Errorf("cluster: rescale of %q: %w", id, err)
 			}
 		}
 		opsSecs[i] = ops
-		stats.Bytes += int64(len(b))
+		r.stats.Bytes += int64(len(b))
 	}
 	nOps := len(opsSecs[0])
 	for i := 1; i < m; i++ {
 		if len(opsSecs[i]) != nOps {
-			return stats, fmt.Errorf("cluster: rescale of %q: replica blobs disagree on operator count", id)
+			return fmt.Errorf("cluster: rescale of %q: replica blobs disagree on operator count", id)
 		}
 	}
-	newOpSecs := make([][][]byte, n)
-	var stateBytes partition.Weights
+	r.opSecs = make([][][]byte, n)
 	for oi := 0; oi < nOps; oi++ {
 		merged := opsSecs[0][oi]
 		if m > 1 {
@@ -583,66 +489,48 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 			}
 			var err error
 			if merged, err = partition.Merge(tables); err != nil {
-				return stats, fmt.Errorf("cluster: rescale of %q: merge op %d: %w", id, oi, err)
-			}
-		}
-		// Per-slot state bytes, summed across the operator chain — the skew
-		// estimate available to the next weighted action before any traffic
-		// is routed under the new geometry.
-		if n > 1 {
-			if sb := partition.SlotBytes(merged); sb != nil {
-				if stateBytes == nil {
-					stateBytes = make(partition.Weights, len(sb))
-				}
-				for s := range sb {
-					if s < len(stateBytes) {
-						stateBytes[s] += sb[s]
-					}
-				}
+				return fmt.Errorf("cluster: rescale of %q: merge op %d: %w", id, oi, err)
 			}
 		}
 		if n == 1 {
-			newOpSecs[0] = append(newOpSecs[0], merged)
+			r.opSecs[0] = append(r.opSecs[0], merged)
 			continue
+		}
+		// Per-slot state bytes, summed across the operator chain — the
+		// skew estimate available to the next weighted action before any
+		// traffic is routed under the new geometry.
+		if sb := partition.SlotBytes(merged); sb != nil {
+			if r.stateBytes == nil {
+				r.stateBytes = make(partition.Weights, len(sb))
+			}
+			for s := range sb {
+				if s < len(r.stateBytes) {
+					r.stateBytes[s] += sb[s]
+				}
+			}
 		}
 		for j := 0; j < n; j++ {
 			j := j
-			piece, err := partition.Carve(merged, func(s int) bool { return assign.Owner(s) == j })
+			piece, err := partition.Carve(merged, func(s int) bool { return r.assign.Owner(s) == j })
 			if err != nil {
-				return stats, fmt.Errorf("cluster: rescale of %q: carve op %d: %w", id, oi, err)
+				return fmt.Errorf("cluster: rescale of %q: carve op %d: %w", id, oi, err)
 			}
-			newOpSecs[j] = append(newOpSecs[j], piece)
+			r.opSecs[j] = append(r.opSecs[j], piece)
 		}
 	}
-	stats.Reshard = time.Since(reshardStart)
+	return nil
+}
 
-	// Phase 5: commit the new geometry and start the new incarnations.
-	restoreStart := time.Now()
-	cl.mu.Lock()
-	if grd.supersededLocked() {
-		cl.mu.Unlock()
-		return stats, grd.errf("superseded during drain")
-	}
-	for _, oinc := range oldIncs {
-		if c := cl.cancels[oinc]; c != nil {
-			c() // release the old incarnation's context
-		}
-		delete(cl.cancels, oinc)
-		delete(cl.haus, oinc)
-		delete(cl.hauNode, oinc)
-		delete(cl.inEdges, oinc)
-	}
-	// Close the old rows feeding each downstream (their senders have
-	// exited) and install the new rows. The hangup is what releases each
-	// downstream's CmdAddInPort barrier.
-	type attach struct {
-		dinc  string
-		h     *spe.HAU
-		cmd   spe.Command
-		reply chan []byte
-	}
-	var attaches []attach
-	for _, dr := range rows {
+// commitLocked installs the new geometry: the old rows feeding each
+// downstream close (their senders have exited, and the hang-up is what
+// releases each downstream's CmdAddInPort barrier), the new rows and
+// incarnations go in, and every downstream incarnation gets a
+// CmdAddInPort per new row edge. Held lock: cl.mu.
+func (r *rescale) commitLocked([][]byte) ([]launch, []order, error) {
+	cl, id := r.cl, r.id
+	r.restoreStart = time.Now()
+	var attaches []order
+	for _, dr := range r.rows {
 		for _, e := range cl.inEdges[dr.dinc][dr.port] {
 			e.Close()
 		}
@@ -650,108 +538,72 @@ func (cl *Cluster) rescaleHAU(ctx context.Context, id string, n int, w partition
 		if dh := cl.haus[dr.dinc]; dh != nil {
 			for _, e := range dr.row {
 				reply := make(chan []byte, 1)
-				attaches = append(attaches, attach{dr.dinc, dh, spe.Command{
-					Kind: spe.CmdAddInPort, Edge: e, Logical: dr.port, AfterFrom: oldIncs, Reply: reply,
-				}, reply})
+				attaches = append(attaches, order{h: dh, reply: reply, cmd: spe.Command{
+					Kind: spe.CmdAddInPort, Edge: e, Logical: dr.port, AfterFrom: r.oldIncs, Reply: reply,
+				}})
 			}
 		}
 	}
-	if n == 1 {
+	if r.n == 1 {
 		delete(cl.parts, id)
 	} else {
-		cl.parts[id] = &partState{Base: id, Replicas: newIncs, Assign: assign, Router: router, StateBytes: stateBytes}
+		cl.parts[id] = &partState{Base: id, Replicas: r.newIncs, Assign: r.assign, Router: r.router, StateBytes: r.stateBytes}
 	}
-	for _, inc := range newIncs {
-		cl.inEdges[inc] = newInGrids[inc]
-		cl.hauNode[inc] = nodeOf[inc]
+	r.app.catalog.SetMembers(cl.incarnationsOfLocked(r.app))
+	nOut := 0
+	for _, down := range cl.graph.Downstream(id) {
+		nOut += len(cl.expandedLocked(down))
 	}
-	app.catalog.SetMembers(cl.incarnationsOfLocked(app))
-	for j, inc := range newIncs {
-		cfg, _ := cl.prepareHAU(inc)
-		nOut := 0
-		for _, op := range cfg.OutPorts {
-			nOut += len(op.Edges)
-		}
-		blob := spe.BuildBlob(spe.NewRuntimeSection(nOut, localEpoch), newOpSecs[j])
-		h, _, err := constructHAU(cfg, blob)
+	launches := make([]launch, 0, r.n)
+	for j, inc := range r.newIncs {
+		blob := spe.BuildBlob(spe.NewRuntimeSection(nOut, r.localEpoch), r.opSecs[j])
+		l, _, err := cl.installLocked(inc, r.nodeOf[inc], r.inGrids[inc], blob)
 		if err != nil {
-			cl.mu.Unlock()
-			return stats, fmt.Errorf("cluster: rescale restore of %q: %w", inc, err)
+			return nil, nil, fmt.Errorf("cluster: rescale restore of %q: %w", inc, err)
 		}
-		cl.haus[inc] = h
-		hctx, cancel := context.WithCancel(cl.rootCtx)
-		cl.cancels[inc] = cancel
-		h.Start(hctx)
+		launches = append(launches, l)
 	}
-	cl.installControllerHAUs()
-	cl.mu.Unlock()
-	for _, a := range attaches {
-		a.h.Command(a.cmd)
-	}
-	stats.Restore = time.Since(restoreStart)
-	stats.Downtime = time.Since(downStart)
-	stats.Replicas = newIncs
+	return launches, attaches, nil
+}
 
-	// Phase 6: commit epoch. The first complete checkpoint under the new
-	// membership; journal it so recovery rebuilds the matching topology.
-	// Trigger it only once every downstream has attached the new ports: a
-	// downstream still draining the old incarnations' backlog would cut
-	// the epoch on their hang-ups alone, ahead of the new incarnations'
-	// pre-token output, with a blob naming only the old ports (after a
-	// merge, the stale pre-split port carries the reused base id).
-	attachDeadline := time.After(drainTimeout)
-	for _, a := range attaches {
-		if _, err := grd.drainBlob(ctx, a.dinc, a.h, a.reply, attachDeadline); err != nil {
-			return stats, fmt.Errorf("commit epoch: %w", err)
-		}
+// record reports a committed rescale to the metrics collector.
+func (r *rescale) record() {
+	col := r.cl.cfg.Metrics
+	if col == nil {
+		return
 	}
-	commitEp, err := grd.quiesce(ctx)
-	if err != nil {
-		// The new geometry is live but has no durable epoch: a recovery
-		// before the next complete checkpoint restores the pre-rescale
-		// topology via the journal, which is consistent.
-		return stats, fmt.Errorf("commit epoch: %w", err)
+	col.RecordRescale(metrics.Rescale{
+		At:       r.cl.cfg.Now(),
+		App:      r.app.name,
+		HAU:      r.id,
+		From:     r.stats.From,
+		To:       r.stats.To,
+		Bytes:    r.stats.Bytes,
+		Drain:    r.stats.Drain,
+		Reshard:  r.stats.Reshard,
+		Restore:  r.stats.Restore,
+		Downtime: r.stats.Downtime,
+	})
+	if len(r.w) == 0 || r.n < 2 {
+		return
 	}
-	cl.mu.Lock()
-	if !grd.supersededLocked() {
-		app.geom = append(app.geom, geomEntry{epoch: commitEp, parts: cl.snapshotPartsLocked(app)})
+	action := "split:weighted"
+	if r.rebalance {
+		action = "rebalance"
+	} else if r.n < r.stats.From {
+		action = "merge:weighted"
 	}
-	cl.mu.Unlock()
-
-	if cl.cfg.Metrics != nil {
-		cl.cfg.Metrics.RecordRescale(metrics.Rescale{
-			At:       cl.cfg.Now(),
-			App:      app.name,
-			HAU:      id,
-			From:     m,
-			To:       n,
-			Bytes:    stats.Bytes,
-			Drain:    stats.Drain,
-			Reshard:  stats.Reshard,
-			Restore:  stats.Restore,
-			Downtime: stats.Downtime,
-		})
-		if len(w) > 0 && n > 1 {
-			action := "split:weighted"
-			if rebalance {
-				action = "rebalance"
-			} else if n < m {
-				action = "merge:weighted"
-			}
-			loads := assign.LoadOf(w)
-			cl.cfg.Metrics.RecordSkew(metrics.Skew{
-				At:       cl.cfg.Now(),
-				App:      app.name,
-				HAU:      id,
-				Replicas: n,
-				Shares:   partition.Shares(loads),
-				Ratio:    partition.ImbalanceRatio(loads),
-				Action:   action,
-				Moved:    stats.Moved,
-			})
-		}
-	}
-	return stats, nil
+	loads := r.assign.LoadOf(r.w)
+	col.RecordSkew(metrics.Skew{
+		At:       r.cl.cfg.Now(),
+		App:      r.app.name,
+		HAU:      r.id,
+		Replicas: r.n,
+		Shares:   partition.Shares(loads),
+		Ratio:    partition.ImbalanceRatio(loads),
+		Action:   action,
+		Moved:    r.stats.Moved,
+	})
 }
 
 // autoscaleStep is the controller's split/merge detector: it compares each
@@ -772,10 +624,7 @@ func (cl *Cluster) autoscaleStep() (int, error) {
 	if maxRep <= 0 {
 		maxRep = 4
 	}
-	cool := cl.cfg.RescaleCooldown
-	if cool <= 0 {
-		cool = 2 * cl.cfg.AutoscaleEvery
-	}
+	cool := 2 * cl.cfg.AutoscaleEvery
 	now := time.Now()
 
 	// Skew pass: N-of-M violations of the imbalance watermark on a split
@@ -786,7 +635,7 @@ func (cl *Cluster) autoscaleStep() (int, error) {
 		cl.mu.Unlock()
 		var err error
 		if skewN > 0 {
-			_, err = cl.rescaleHAU(ctx, skewID, skewN, skewW, false)
+			_, err = cl.RescaleHAU(ctx, skewID, skewN, skewW)
 		} else {
 			_, err = cl.rescaleHAU(ctx, skewID, 0, skewW, true)
 		}
@@ -843,7 +692,7 @@ func (cl *Cluster) autoscaleStep() (int, error) {
 	if pickID == "" {
 		return 0, nil
 	}
-	if _, err := cl.RescaleHAU(ctx, pickID, pickN); err != nil {
+	if _, err := cl.RescaleHAU(ctx, pickID, pickN, nil); err != nil {
 		return 0, err
 	}
 	cl.mu.Lock()

@@ -96,10 +96,10 @@ func TestRescaleValidation(t *testing.T) {
 	if _, err := cl.SplitHAU(ctx, "K", 2); err == nil {
 		t.Fatal("sink rescale accepted")
 	}
-	if _, err := cl.RescaleHAU(ctx, "C~1", 2); err == nil {
+	if _, err := cl.RescaleHAU(ctx, "C~1", 2, nil); err == nil {
 		t.Fatal("replica id accepted as rescale target")
 	}
-	if _, err := cl.RescaleHAU(ctx, "C", 1); err == nil {
+	if _, err := cl.RescaleHAU(ctx, "C", 1, nil); err == nil {
 		t.Fatal("no-op rescale to current replica count accepted")
 	}
 	if _, err := cl.MergeHAU(ctx, "C"); err == nil {
@@ -397,9 +397,9 @@ func TestSplitHAUWeighted(t *testing.T) {
 	for s := 0; s < 32; s++ {
 		w[s] = 100 // hot range: the first 32 slots carry ~94% of the load
 	}
-	stats, err := cl.SplitHAUWeighted(ctx, "C", 2, w)
+	stats, err := cl.RescaleHAU(ctx, "C", 2, w)
 	if err != nil {
-		t.Fatalf("SplitHAUWeighted: %v", err)
+		t.Fatalf("RescaleHAU: %v", err)
 	}
 	if stats.From != 1 || stats.To != 2 || stats.Moved == 0 {
 		t.Fatalf("weighted split stats = %+v", stats)

@@ -295,6 +295,17 @@ func (g *Graph) PortOf(from, to string) int {
 	return -1
 }
 
+// OutPortOf returns the output port index on `from` that carries the
+// stream to `to`, or -1 if no such edge exists.
+func (g *Graph) OutPortOf(from, to string) int {
+	for i, d := range g.out[from] {
+		if d == to {
+			return i
+		}
+	}
+	return -1
+}
+
 // Depth returns, per node, the length of the longest path from any source
 // to that node. Sources have depth 0. Useful for estimating cascading token
 // propagation time (MS-src checkpoints proceed in token order, §IV-B).

@@ -97,6 +97,19 @@ func TestPortOf(t *testing.T) {
 	}
 }
 
+func TestOutPortOf(t *testing.T) {
+	g := diamond(t)
+	if p := g.OutPortOf("2", "3"); p != 0 {
+		t.Fatalf("OutPortOf(2,3) = %d", p)
+	}
+	if p := g.OutPortOf("2", "4"); p != 1 {
+		t.Fatalf("OutPortOf(2,4) = %d", p)
+	}
+	if p := g.OutPortOf("1", "5"); p != -1 {
+		t.Fatalf("OutPortOf(1,5) = %d, want -1", p)
+	}
+}
+
 func TestTopoOrderRespectsEdges(t *testing.T) {
 	g := diamond(t)
 	order, err := g.TopoOrder()

@@ -430,48 +430,6 @@ func (c *Collector) CheckpointsFor(app string) []Checkpoint {
 	return out
 }
 
-// RescalesFor returns the re-partitionings tagged with the given
-// application id, oldest first.
-func (c *Collector) RescalesFor(app string) []Rescale {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Rescale
-	for _, r := range c.rescales {
-		if r.App == app {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SkewsFor returns the skew observations tagged with the given application
-// id, oldest first.
-func (c *Collector) SkewsFor(app string) []Skew {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Skew
-	for _, sk := range c.skews {
-		if sk.App == app {
-			out = append(out, sk)
-		}
-	}
-	return out
-}
-
-// MigrationsFor returns the live migrations tagged with the given
-// application id, oldest first.
-func (c *Collector) MigrationsFor(app string) []Migration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Migration
-	for _, m := range c.migrations {
-		if m.App == app {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Reset clears all observations.
 func (c *Collector) Reset() {
 	c.mu.Lock()
