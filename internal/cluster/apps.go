@@ -1,12 +1,12 @@
 // Multi-tenancy: the app registry. A Cluster historically ran exactly one
 // application (cfg.App); this file generalizes it to a registry of
-// applications sharing the fleet. Each application keeps its own namespaced
-// graph, checkpoint catalog, source logs, geometry journal, controller (its
-// own checkpoint epochs and failure pings) and recovery generation — so one
-// tenant's whole-application rollback never touches a co-tenant. The
-// weighted fair-share arbiter (internal/tenant) plans bounded migrations
-// that segregate tenants onto disjoint node sets sized by their fairness
-// weights.
+// applications sharing the fleet, fixed at New through Config.Apps. Each
+// application keeps its own namespaced graph, checkpoint catalog, source
+// logs, geometry journal, controller (its own checkpoint epochs and failure
+// pings) and recovery generation — so one tenant's whole-application
+// rollback never touches a co-tenant. The weighted fair-share arbiter
+// (internal/tenant) plans bounded migrations that segregate tenants onto
+// disjoint node sets sized by their fairness weights.
 package cluster
 
 import (
@@ -21,15 +21,16 @@ import (
 	"meteorshower/internal/controller"
 	"meteorshower/internal/graph"
 	"meteorshower/internal/operator"
-	"meteorshower/internal/spe"
 	"meteorshower/internal/storage"
 	"meteorshower/internal/tenant"
 )
 
 // appState is everything one application owns on the shared fleet. The
-// immutable identity fields (spec, name, prefix, weight, graph, catalog,
-// sourceLogs map identity, ctrl) are set before the state is published; the
-// mutable fields (geom, gen, ctrlCancel) are guarded by cl.mu.
+// registry is fixed at New: cl.apps, cl.appByPrefix and cl.graph are
+// written only there, so code reads them without a lock. The identity
+// fields (spec, name, prefix, weight, graph, catalog, sourceLogs map
+// identity, ctrl) never change after New; the mutable fields (geom, gen)
+// are guarded by cl.mu.
 type appState struct {
 	spec   AppSpec
 	name   string
@@ -46,7 +47,6 @@ type appState struct {
 	// isolation real. Fleet-wide loops (rebalance, elastic, HA, arbiter)
 	// ride on the first app's controller.
 	ctrl       *controller.Controller
-	ctrlCancel context.CancelFunc
 	sourceLogs map[string]*buffer.SourceLog
 	// geom journals this application's partition geometry per commit epoch
 	// (see geomEntry); gen counts this application's recoveries — the
@@ -105,20 +105,10 @@ func (cl *Cluster) appCtrlCfg(a *appState) controller.Config {
 	}
 }
 
-// appsSnapshot copies the registry slice. Safe under cl.mu (lock order is
-// cl.mu then appMu) or lock-free.
-func (cl *Cluster) appsSnapshot() []*appState {
-	cl.appMu.RLock()
-	defer cl.appMu.RUnlock()
-	return append([]*appState(nil), cl.apps...)
-}
-
 // appOf resolves the application owning HAU id by its namespace prefix.
 // Bare ids (and any id whose prefix is unknown, e.g. a legacy single-app id
 // that happens to contain the separator) resolve to the first app.
 func (cl *Cluster) appOf(id string) *appState {
-	cl.appMu.RLock()
-	defer cl.appMu.RUnlock()
 	if a := cl.appByPrefix[tenant.AppOf(id)]; a != nil {
 		return a
 	}
@@ -181,8 +171,6 @@ func (cl *Cluster) deadHAUsOf(a *appState) []string {
 
 // AppNames lists the registered applications in registry order.
 func (cl *Cluster) AppNames() []string {
-	cl.appMu.RLock()
-	defer cl.appMu.RUnlock()
 	out := make([]string, len(cl.apps))
 	for i, a := range cl.apps {
 		out[i] = a.name
@@ -196,8 +184,6 @@ func (cl *Cluster) AppOfHAU(id string) string { return cl.appOf(id).name }
 // AppController exposes the controller of the named application (nil for an
 // unknown name). Tests drive per-app checkpoint epochs through it.
 func (cl *Cluster) AppController(name string) *controller.Controller {
-	cl.appMu.RLock()
-	defer cl.appMu.RUnlock()
 	for _, a := range cl.apps {
 		if a.name == name {
 			return a.ctrl
@@ -208,8 +194,6 @@ func (cl *Cluster) AppController(name string) *controller.Controller {
 
 // AppCatalog exposes the checkpoint catalog of the named application.
 func (cl *Cluster) AppCatalog(name string) *storage.Catalog {
-	cl.appMu.RLock()
-	defer cl.appMu.RUnlock()
 	for _, a := range cl.apps {
 		if a.name == name {
 			return a.catalog
@@ -253,158 +237,10 @@ func (cl *Cluster) ArbiterShares() map[string]float64 {
 // name and the dead ids. Co-tenants keep running — the caller typically
 // responds with RecoverApp(ctx, app), not a fleet-wide rollback.
 func (cl *Cluster) SetAppFailureHandler(fn func(app string, dead []string)) {
-	for _, a := range cl.appsSnapshot() {
+	for _, a := range cl.apps {
 		a := a
 		a.ctrl.SetOnFailure(func(dead []string) { fn(a.name, dead) })
 	}
-}
-
-// AddApp registers a new application on a running (or not-yet-started)
-// fleet: its graph is namespaced and unioned into the cluster topology, a
-// controller is created (and started when the fleet's controllers already
-// run), its HAUs are placed by the active policy and started when the
-// cluster is live. Weights take effect on the arbiter's next step.
-func (cl *Cluster) AddApp(ctx context.Context, spec AppSpec) error {
-	if err := validateAppSpec(spec, true); err != nil {
-		return err
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	cl.appMu.RLock()
-	dup := cl.appByPrefix[spec.Name] != nil
-	for _, a := range cl.apps {
-		if a.name == spec.Name {
-			dup = true
-		}
-	}
-	cl.appMu.RUnlock()
-	if dup {
-		return fmt.Errorf("cluster: app %q already registered", spec.Name)
-	}
-	a := cl.newAppState(spec, spec.Name)
-	union, err := graph.Union(cl.graph, a.graph)
-	if err != nil {
-		return fmt.Errorf("cluster: app %q: %w", spec.Name, err)
-	}
-	a.ctrl = controller.New(cl.appCtrlCfg(a))
-	cl.graph = union
-	cl.appMu.Lock()
-	cl.apps = append(cl.apps, a)
-	cl.appByPrefix[a.prefix] = a
-	cl.appMu.Unlock()
-
-	ids := a.graph.Nodes()
-	placed := cl.policy.Assign(ids, cl.viewLocked(nil))
-	for i, id := range ids {
-		n, ok := placed[id]
-		if !ok || n < 0 || n >= len(cl.nodes) || !cl.nodes[n].schedulable() {
-			n = cl.firstHealthyLocked()
-			if n < 0 {
-				n = i % len(cl.nodes)
-			}
-		}
-		cl.hauNode[id] = n
-	}
-	if cl.started {
-		if err := cl.launchFreshLocked(ids); err != nil {
-			return fmt.Errorf("cluster: app %q: %w", spec.Name, err)
-		}
-	}
-	if cl.ctrlCtx != nil {
-		actx, cancel := context.WithCancel(cl.ctrlCtx)
-		a.ctrlCancel = cancel
-		go a.ctrl.Run(actx)
-	}
-	return nil
-}
-
-// RemoveApp unregisters an application: its HAUs and standbys stop, its
-// bookkeeping is dropped, and its nodes become free capacity for the
-// remaining tenants. The first app anchors the fleet control loops
-// (rebalance, elasticity, HA, arbitration) and cannot be removed.
-func (cl *Cluster) RemoveApp(name string) error {
-	cl.mu.Lock()
-	cl.appMu.RLock()
-	var a *appState
-	idx := -1
-	for i, x := range cl.apps {
-		if x.name == name {
-			a, idx = x, i
-			break
-		}
-	}
-	cl.appMu.RUnlock()
-	if a == nil {
-		cl.mu.Unlock()
-		return fmt.Errorf("cluster: unknown app %q", name)
-	}
-	if idx == 0 {
-		cl.mu.Unlock()
-		return fmt.Errorf("cluster: app %q anchors the fleet control loops and cannot be removed", name)
-	}
-
-	var cancels []context.CancelFunc
-	var wait []*spe.HAU
-	own := func(id string) bool { return cl.appOf(id) == a }
-	for id, h := range cl.haus {
-		if !own(id) {
-			continue
-		}
-		if c := cl.cancels[id]; c != nil {
-			cancels = append(cancels, c)
-		}
-		wait = append(wait, h)
-		delete(cl.haus, id)
-		delete(cl.cancels, id)
-		delete(cl.inEdges, id)
-		delete(cl.hauNode, id)
-		delete(cl.preservers, id)
-	}
-	for id, sb := range cl.standbys {
-		if !own(id) {
-			continue
-		}
-		cancels = append(cancels, sb.cancel)
-		wait = append(wait, sb.h)
-		delete(cl.standbys, id)
-	}
-	for _, id := range a.graph.Nodes() {
-		delete(cl.parts, id)
-		delete(cl.nextTag, id)
-		delete(cl.busy, id)
-		delete(cl.lastRescale, id)
-		delete(cl.lastLoads, id)
-		delete(cl.skewHits, id)
-		delete(cl.lastSkewAct, id)
-	}
-	cl.appMu.Lock()
-	cl.apps = append(cl.apps[:idx], cl.apps[idx+1:]...)
-	delete(cl.appByPrefix, a.prefix)
-	rest := make([]*graph.Graph, len(cl.apps))
-	for i, x := range cl.apps {
-		rest[i] = x.graph
-	}
-	cl.appMu.Unlock()
-	union, err := graph.Union(rest...)
-	if err == nil { // disjoint by construction; defensive
-		cl.graph = union
-	}
-	if cl.started {
-		cl.installControllerHAUs()
-	}
-	ctrlCancel := a.ctrlCancel
-	cl.mu.Unlock()
-
-	for _, c := range cancels {
-		c()
-	}
-	for _, h := range wait {
-		<-h.Done()
-	}
-	if ctrlCancel != nil {
-		ctrlCancel()
-	}
-	return nil
 }
 
 // RecoverApp performs whole-application rollback recovery for one named
@@ -412,7 +248,6 @@ func (cl *Cluster) RemoveApp(name string) error {
 // Checkpoint and its sources replay — co-tenant applications keep running
 // untouched. This is the recovery-isolation half of multi-tenancy.
 func (cl *Cluster) RecoverApp(ctx context.Context, name string) (RecoveryStats, error) {
-	cl.appMu.RLock()
 	var a *appState
 	for _, x := range cl.apps {
 		if x.name == name {
@@ -420,7 +255,6 @@ func (cl *Cluster) RecoverApp(ctx context.Context, name string) (RecoveryStats, 
 			break
 		}
 	}
-	cl.appMu.RUnlock()
 	if a == nil {
 		return RecoveryStats{}, fmt.Errorf("cluster: unknown app %q", name)
 	}
@@ -440,8 +274,7 @@ func (cl *Cluster) arbiterStep() (int, error) {
 		cl.mu.Unlock()
 		return 0, nil
 	}
-	apps := cl.appsSnapshot()
-	if len(apps) < 2 {
+	if len(cl.apps) < 2 {
 		cl.mu.Unlock()
 		return 0, nil
 	}
@@ -452,9 +285,9 @@ func (cl *Cluster) arbiterStep() (int, error) {
 			v.Nodes = append(v.Nodes, i)
 		}
 	}
-	demands := make(map[string]*tenant.Demand, len(apps))
-	procOf := make(map[string]uint64, len(apps))
-	for _, a := range apps {
+	demands := make(map[string]*tenant.Demand, len(cl.apps))
+	procOf := make(map[string]uint64, len(cl.apps))
+	for _, a := range cl.apps {
 		demands[a.prefix] = &tenant.Demand{App: a.name, Weight: a.weight}
 	}
 	for id, nd := range cl.hauNode {
@@ -493,7 +326,7 @@ func (cl *Cluster) arbiterStep() (int, error) {
 		cores = 1
 	}
 	v.Capacity = float64(len(v.Nodes)) * cores * float64(elapsed)
-	for _, a := range apps {
+	for _, a := range cl.apps {
 		v.Demands = append(v.Demands, *demands[a.prefix])
 	}
 	cl.lastShares = cl.arb.Shares(v)

@@ -236,8 +236,7 @@ type Cluster struct {
 	catalog *storage.Catalog
 	ctrl    *controller.Controller
 
-	// appMu guards the app registry. Lock order: cl.mu before appMu.
-	appMu       sync.RWMutex
+	// The app registry, fixed at New (see appState).
 	apps        []*appState
 	appByPrefix map[string]*appState
 	// graph is the union of every app's namespaced graph — the topology
@@ -308,9 +307,6 @@ type Cluster struct {
 	lastShares  map[string]float64
 
 	rootCtx context.Context
-	// ctrlCtx remembers the StartController context so AddApp can launch a
-	// late-registered app's controller under the same lifetime.
-	ctrlCtx context.Context
 	started bool
 }
 
@@ -587,6 +583,11 @@ func (cl *Cluster) hauAlive(id string) bool {
 // Start builds every HAU, wires the query network, and launches the HAU
 // goroutines. The controller's Run loop is NOT started automatically; call
 // StartController for scheme-driven checkpointing or drive epochs manually.
+//
+// Every edge grid is built first: downstream in-edge rows define the
+// upstreams' ports. The HAUs start in map order, not graph order: the order
+// HAU goroutines start in shifts a deployment's steady-state latency (see
+// EXPERIMENTS.md, "One driver for live topology changes").
 func (cl *Cluster) Start(ctx context.Context) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -594,21 +595,7 @@ func (cl *Cluster) Start(ctx context.Context) error {
 		return errors.New("cluster: already started")
 	}
 	cl.rootCtx = ctx
-	if err := cl.launchFreshLocked(cl.graph.Nodes()); err != nil {
-		return err
-	}
-	cl.started = true
-	return nil
-}
-
-// launchFreshLocked wires, builds and starts a stateless incarnation of
-// each of the unsplit graph ids, already placed. Every edge grid is built
-// first: downstream in-edge rows define the upstreams' ports. The
-// incarnations start in map order, not graph order: the order HAU
-// goroutines start in shifts a deployment's steady-state latency (see
-// EXPERIMENTS.md, "One driver for live topology changes"). Held lock:
-// cl.mu.
-func (cl *Cluster) launchFreshLocked(ids []string) error {
+	ids := cl.graph.Nodes()
 	for _, id := range ids {
 		cl.inEdges[id] = cl.freshInGridLocked(id, id)
 	}
@@ -624,6 +611,7 @@ func (cl *Cluster) launchFreshLocked(ids []string) error {
 	for _, l := range launches {
 		l.h.Start(l.ctx)
 	}
+	cl.started = true
 	return nil
 }
 
@@ -631,15 +619,9 @@ func (cl *Cluster) launchFreshLocked(ids []string) error {
 // checkpoints, alert mode, failure pings). On a single-tenant cluster this
 // is exactly the historical single loop.
 func (cl *Cluster) StartController(ctx context.Context) {
-	cl.mu.Lock()
-	cl.ctrlCtx = ctx
-	apps := cl.appsSnapshot()
-	for _, a := range apps {
-		actx, cancel := context.WithCancel(ctx)
-		a.ctrlCancel = cancel
-		go a.ctrl.Run(actx)
+	for _, a := range cl.apps {
+		go a.ctrl.Run(ctx)
 	}
-	cl.mu.Unlock()
 }
 
 // buildHAU constructs an HAU instance for id. Held lock: cl.mu. The two
@@ -861,15 +843,14 @@ func (cl *Cluster) ackUpstream(down string, inPort int, seq uint64) {
 // installControllerHAUs hands each application's controller its own live
 // HAUs (the single-tenant cluster hands everything to the one controller).
 // Controllers copy the map, so this must be re-called after every mutation
-// of cl.haus (recovery, migration, rescale, app add/remove).
+// of cl.haus (recovery, migration, rescale).
 func (cl *Cluster) installControllerHAUs() {
-	apps := cl.appsSnapshot()
-	if len(apps) == 1 {
-		apps[0].ctrl.SetHAUs(cl.haus)
+	if len(cl.apps) == 1 {
+		cl.apps[0].ctrl.SetHAUs(cl.haus)
 		return
 	}
-	split := make(map[*appState]map[string]*spe.HAU, len(apps))
-	for _, a := range apps {
+	split := make(map[*appState]map[string]*spe.HAU, len(cl.apps))
+	for _, a := range cl.apps {
 		split[a] = make(map[string]*spe.HAU)
 	}
 	for id, h := range cl.haus {
@@ -877,7 +858,7 @@ func (cl *Cluster) installControllerHAUs() {
 			m[id] = h
 		}
 	}
-	for _, a := range apps {
+	for _, a := range cl.apps {
 		a.ctrl.SetHAUs(split[a])
 	}
 }
@@ -1032,9 +1013,8 @@ func (cl *Cluster) StopAll() {
 // newest one. A store that is down (storage.ErrUnavailable) fails fast —
 // older epochs live on the same store, so walking them is pointless.
 func (cl *Cluster) RecoverAll(ctx context.Context) (RecoveryStats, error) {
-	apps := cl.appsSnapshot()
-	if len(apps) == 1 {
-		return cl.recoverApp(ctx, apps[0])
+	if len(cl.apps) == 1 {
+		return cl.recoverApp(ctx, cl.apps[0])
 	}
 	// Multi-tenant: recover each application independently — one tenant's
 	// unrecoverable checkpoint must not block a co-tenant's rollback.
@@ -1042,7 +1022,7 @@ func (cl *Cluster) RecoverAll(ctx context.Context) (RecoveryStats, error) {
 	// its chance.
 	var total RecoveryStats
 	var firstErr error
-	for _, a := range apps {
+	for _, a := range cl.apps {
 		stats, err := cl.recoverApp(ctx, a)
 		if err != nil {
 			if firstErr == nil {
@@ -1508,7 +1488,7 @@ func (cl *Cluster) RecoverHAU(ctx context.Context, id string) (RecoveryStats, er
 // RecoverAll. Multi-tenant callers who need to know WHICH application
 // failed should use SetAppFailureHandler instead.
 func (cl *Cluster) SetFailureHandler(fn func(dead []string)) {
-	for _, a := range cl.appsSnapshot() {
+	for _, a := range cl.apps {
 		a.ctrl.SetOnFailure(fn)
 	}
 }
@@ -1548,7 +1528,7 @@ func (cl *Cluster) ReplayableTuples() int {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	n := 0
-	for _, a := range cl.appsSnapshot() {
+	for _, a := range cl.apps {
 		for _, l := range a.sourceLogs {
 			n += l.PreservedCount()
 		}

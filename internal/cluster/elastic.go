@@ -309,10 +309,9 @@ func (cl *Cluster) elasticSample() elastic.Sample {
 	}
 	// Per-app aggregates for the multi-tenant trigger: the fleet scales on
 	// the SUM of every tenant's backlog, not any single app's.
-	apps := cl.appsSnapshot()
-	if len(apps) > 1 {
-		agg := make(map[*appState]*elastic.AppStat, len(apps))
-		for _, a := range apps {
+	if len(cl.apps) > 1 {
+		agg := make(map[*appState]*elastic.AppStat, len(cl.apps))
+		for _, a := range cl.apps {
 			agg[a] = &elastic.AppStat{App: a.name, Weight: a.weight}
 		}
 		for id, nd := range cl.hauNode {
@@ -333,7 +332,7 @@ func (cl *Cluster) elasticSample() elastic.Sample {
 				}
 			}
 		}
-		for _, a := range apps {
+		for _, a := range cl.apps {
 			s.Apps = append(s.Apps, *agg[a])
 		}
 	}

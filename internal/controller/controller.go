@@ -656,13 +656,6 @@ func (c *Controller) Dynamic() []string {
 	return out
 }
 
-// SetProfile installs a profile (e.g. replayed from a previous run).
-func (c *Controller) SetProfile(p statesize.Profile) {
-	c.mu.Lock()
-	c.cfg.Profile = p
-	c.mu.Unlock()
-}
-
 // InstalledProfile returns the active profile.
 func (c *Controller) InstalledProfile() statesize.Profile {
 	c.mu.Lock()

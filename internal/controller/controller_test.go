@@ -375,14 +375,6 @@ func TestProfileApplication(t *testing.T) {
 	}
 }
 
-func TestSetProfile(t *testing.T) {
-	c := New(Config{Scheme: spe.MSSrcAPAA, Catalog: storage.NewCatalog(fastStore(), nil)})
-	c.SetProfile(statesize.Profile{Smax: 77})
-	if c.InstalledProfile().Smax != 77 {
-		t.Fatal("SetProfile lost")
-	}
-}
-
 func TestEpochStatsSnapshot(t *testing.T) {
 	c := New(Config{Scheme: spe.MSSrcAP, Catalog: storage.NewCatalog(fastStore(), nil)})
 	c.SetHAUs(map[string]*spe.HAU{"a": nil})

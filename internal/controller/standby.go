@@ -2,7 +2,6 @@ package controller
 
 import (
 	"sync"
-	"time"
 
 	"meteorshower/internal/spe"
 	"meteorshower/internal/statesize"
@@ -87,13 +86,6 @@ func (s *Standby) Sync(primary *Controller) {
 	s.mu.Unlock()
 }
 
-// LastSynced returns the most recent replicated state.
-func (s *Standby) LastSynced() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
 // Promote builds a fresh controller from the replicated state. The caller
 // starts its Run loop; epoch numbering continues from the last sync, so
 // checkpoints initiated by the old primary are never repeated.
@@ -110,19 +102,4 @@ func (s *Standby) Promote() *Controller {
 	c.SetHAUs(haus)
 	c.ImportState(st)
 	return c
-}
-
-// SyncEvery runs Sync on a ticker until stop is closed — the standby's
-// replication loop.
-func (s *Standby) SyncEvery(primary *Controller, every time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			s.Sync(primary)
-		}
-	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 func TestExportImportState(t *testing.T) {
-	c := New(Config{Scheme: spe.MSSrcAPAA, Catalog: storage.NewCatalog(fastStore(), nil)})
+	c := New(Config{Scheme: spe.MSSrcAPAA, Catalog: storage.NewCatalog(fastStore(), nil),
+		Profile: statesize.Profile{Smax: 500, Smin: 100}})
 	c.TriggerCheckpoint()
 	c.TriggerCheckpoint()
-	c.SetProfile(statesize.Profile{Smax: 500, Smin: 100})
 	st := c.ExportState()
 	if st.Epoch != 2 || st.Profile.Smax != 500 {
 		t.Fatalf("export = %+v", st)
@@ -44,8 +44,8 @@ func TestStandbyPromotionContinuesEpochs(t *testing.T) {
 
 	standby := NewStandby(cfg)
 	standby.Sync(primary)
-	if standby.LastSynced().Epoch != 3 {
-		t.Fatalf("synced epoch = %d", standby.LastSynced().Epoch)
+	if got := standby.Promote().Epoch(); got != 3 {
+		t.Fatalf("synced epoch = %d", got)
 	}
 
 	// Primary dies; the standby takes over and continues numbering.
@@ -53,28 +53,6 @@ func TestStandbyPromotionContinuesEpochs(t *testing.T) {
 	ep := promoted.TriggerCheckpoint()
 	if ep != 4 {
 		t.Fatalf("promoted controller issued epoch %d, want 4", ep)
-	}
-}
-
-func TestStandbySyncEvery(t *testing.T) {
-	cfg := Config{Scheme: spe.MSSrcAP, Catalog: storage.NewCatalog(fastStore(), nil)}
-	primary := New(cfg)
-	standby := NewStandby(cfg)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		standby.SyncEvery(primary, 5*time.Millisecond, stop)
-		close(done)
-	}()
-	primary.TriggerCheckpoint()
-	deadline := time.Now().Add(2 * time.Second)
-	for standby.LastSynced().Epoch != 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	<-done
-	if standby.LastSynced().Epoch != 1 {
-		t.Fatal("replication loop never synced")
 	}
 }
 
@@ -87,8 +65,8 @@ func TestStandbySyncKeepsNewest(t *testing.T) {
 	standby := NewStandby(cfg)
 	standby.Sync(fresh)
 	standby.Sync(stale) // a lagging replica source must not regress state
-	if standby.LastSynced().Epoch != 1 {
-		t.Fatalf("stale sync regressed epoch to %d", standby.LastSynced().Epoch)
+	if got := standby.Promote().Epoch(); got != 1 {
+		t.Fatalf("stale sync regressed epoch to %d", got)
 	}
 }
 

@@ -59,20 +59,6 @@ func NodeDowntime(events []Event, nNodes int, horizon time.Duration) []time.Dura
 	return out
 }
 
-// NodeAvailability returns mean per-node availability: 1 - downtime/horizon
-// averaged over nodes.
-func NodeAvailability(events []Event, nNodes int, horizon time.Duration) float64 {
-	if nNodes == 0 || horizon <= 0 {
-		return 0
-	}
-	down := NodeDowntime(events, nNodes, horizon)
-	var total time.Duration
-	for _, d := range down {
-		total += d
-	}
-	return 1 - float64(total)/(float64(horizon)*float64(nNodes))
-}
-
 // ApplicationDowntime returns how long an application is unavailable under
 // a fault-tolerance scheme that masks failures affecting at most
 // maskableNodes nodes simultaneously. Any event larger than that takes the

@@ -31,18 +31,6 @@ func TestNodeDowntimeClampsToHorizon(t *testing.T) {
 	}
 }
 
-func TestNodeAvailability(t *testing.T) {
-	events := []Event{{At: 0, Nodes: []int{0}, Recovery: time.Hour}}
-	// 1 node-hour down out of 4 node-hours.
-	got := NodeAvailability(events, 2, 2*time.Hour)
-	if got != 0.75 {
-		t.Fatalf("availability = %v, want 0.75", got)
-	}
-	if NodeAvailability(nil, 0, 0) != 0 {
-		t.Fatal("degenerate availability must be 0")
-	}
-}
-
 func TestApplicationDowntime1Safe(t *testing.T) {
 	events := []Event{
 		{At: 0, Nodes: []int{0}, Recovery: time.Hour},                         // maskable

@@ -306,27 +306,6 @@ func (g *Graph) OutPortOf(from, to string) int {
 	return -1
 }
 
-// Depth returns, per node, the length of the longest path from any source
-// to that node. Sources have depth 0. Useful for estimating cascading token
-// propagation time (MS-src checkpoints proceed in token order, §IV-B).
-func (g *Graph) Depth() (map[string]int, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	depth := make(map[string]int, len(order))
-	for _, id := range order {
-		d := 0
-		for _, u := range g.in[id] {
-			if depth[u]+1 > d {
-				d = depth[u] + 1
-			}
-		}
-		depth[id] = d
-	}
-	return depth, nil
-}
-
 func mergeSorted(a, b []string) []string {
 	out := make([]string, 0, len(a)+len(b))
 	i, j := 0, 0

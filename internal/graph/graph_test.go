@@ -184,20 +184,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestDepth(t *testing.T) {
-	g := diamond(t)
-	d, err := g.Depth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"1": 0, "2": 1, "3": 2, "4": 2, "5": 3}
-	for id, w := range want {
-		if d[id] != w {
-			t.Fatalf("Depth[%s] = %d, want %d", id, d[id], w)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g := diamond(t)
 	c := g.Clone()
@@ -252,28 +238,6 @@ func TestQuickTopoOrderProperty(t *testing.T) {
 		for _, from := range g.Nodes() {
 			for _, to := range g.Downstream(from) {
 				if pos[from] >= pos[to] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickDepthMonotoneAlongEdges(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomDAG(r, 2+r.Intn(15))
-		d, err := g.Depth()
-		if err != nil {
-			return false
-		}
-		for _, from := range g.Nodes() {
-			for _, to := range g.Downstream(from) {
-				if d[to] <= d[from] {
 					return false
 				}
 			}

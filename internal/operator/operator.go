@@ -87,21 +87,6 @@ type PartitionedState interface {
 	PartitionSlots() int
 }
 
-// SlotWeights snapshots a partitioned operator and returns its per-slot
-// state bytes as partition weights — the skew signal available from state
-// alone, before any traffic has been routed. Residue-only operators (and
-// non-table snapshots) report nil: they carry no keyed state to weigh.
-func SlotWeights(op PartitionedState) (partition.Weights, error) {
-	if op.PartitionSlots() == 0 {
-		return nil, nil
-	}
-	buf, err := op.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return partition.SlotBytes(buf), nil
-}
-
 // Source is implemented by source operators: instead of consuming inputs
 // they generate tuples. Generate is called by the HAU's clock; it returns
 // the next batch (possibly empty). Generated tuples must carry fresh IDs so
@@ -176,278 +161,6 @@ func (p *Passthrough) OnTuple(_ int, t *tuple.Tuple, emit Emitter) error {
 	}
 	return nil
 }
-
-// Dispatch routes tuples to one of N output ports by key hash — the
-// paper's Dispatcher operators (D) that spread camera/phone feeds over
-// parallel pipelines.
-type Dispatch struct {
-	Base
-	Ports int
-}
-
-// NewDispatch returns a key-hash router over ports outputs.
-func NewDispatch(name string, ports int) *Dispatch {
-	if ports <= 0 {
-		ports = 1
-	}
-	return &Dispatch{Base: Base{OpName: name}, Ports: ports}
-}
-
-// OnTuple routes t by FNV-1a hash of its key.
-func (d *Dispatch) OnTuple(_ int, t *tuple.Tuple, emit Emitter) error {
-	emit(int(fnv1a(t.Key)%uint64(d.Ports)), t)
-	return nil
-}
-
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// ---------------------------------------------------------------------------
-
-// Batcher accumulates tuples and flushes them as a batch when the batch
-// reaches MaxTuples or when MaxAge elapses since the first buffered tuple.
-// It is the schema of the paper's data-analysis kernels: "data mining and
-// image processing algorithms ... manipulate data in batches. At the
-// boundaries of the batches, the operator state is puny."
-//
-// Flush receives the batch and emits results; after it returns the pool is
-// discarded, which is exactly the moment of minimal state.
-type Batcher struct {
-	Base
-	MaxTuples int
-	MaxAge    int64 // ns; 0 = no time bound
-	Flush     func(batch []*tuple.Tuple, emit Emitter)
-
-	pool      []*tuple.Tuple
-	poolBytes int64
-	firstAt   int64
-	clean     bool // true while the pool matches the last AppendSnapshot
-}
-
-// NewBatcher returns a batching operator.
-func NewBatcher(name string, maxTuples int, maxAge int64, flush func([]*tuple.Tuple, Emitter)) *Batcher {
-	return &Batcher{Base: Base{OpName: name}, MaxTuples: maxTuples, MaxAge: maxAge, Flush: flush}
-}
-
-// OnTuple pools t and flushes when the tuple bound is hit.
-func (b *Batcher) OnTuple(_ int, t *tuple.Tuple, emit Emitter) error {
-	if len(b.pool) == 0 {
-		b.firstAt = t.Ts
-	}
-	b.pool = append(b.pool, t)
-	b.poolBytes += t.Size()
-	b.clean = false
-	if b.MaxTuples > 0 && len(b.pool) >= b.MaxTuples {
-		b.doFlush(emit)
-	}
-	return nil
-}
-
-// OnTick flushes by age.
-func (b *Batcher) OnTick(now int64, emit Emitter) error {
-	if b.MaxAge > 0 && len(b.pool) > 0 && now-b.firstAt >= b.MaxAge {
-		b.doFlush(emit)
-	}
-	return nil
-}
-
-func (b *Batcher) doFlush(emit Emitter) {
-	if b.Flush != nil {
-		b.Flush(b.pool, emit)
-	}
-	b.pool = nil
-	b.poolBytes = 0
-	b.clean = false
-}
-
-// PoolLen returns the number of pooled tuples.
-func (b *Batcher) PoolLen() int { return len(b.pool) }
-
-// StateSize reports the pooled bytes — the fluctuating state the
-// application-aware checkpointing exploits.
-func (b *Batcher) StateSize() int64 { return b.poolBytes }
-
-// Snapshot serializes the pool.
-func (b *Batcher) Snapshot() ([]byte, error) {
-	return b.appendState(nil), nil
-}
-
-// AppendSnapshot implements IncrementalSnapshotter: an untouched pool
-// (common at batch boundaries, where state is puny) encodes as zero bytes.
-func (b *Batcher) AppendSnapshot(buf []byte) ([]byte, bool, error) {
-	if b.clean {
-		return buf, false, nil
-	}
-	b.clean = true
-	return b.appendState(buf), true, nil
-}
-
-func (b *Batcher) appendState(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.firstAt))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.pool)))
-	buf = append(buf, tuple.MarshalMany(b.pool)...)
-	return buf
-}
-
-// Restore rebuilds the pool.
-func (b *Batcher) Restore(buf []byte) error {
-	b.clean = false
-	if len(buf) < 12 {
-		return errors.New("batcher: short snapshot")
-	}
-	b.firstAt = int64(binary.LittleEndian.Uint64(buf))
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	pool, err := tuple.UnmarshalMany(buf[12:])
-	if err != nil {
-		return err
-	}
-	if len(pool) != n {
-		return errors.New("batcher: snapshot count mismatch")
-	}
-	b.pool = pool
-	b.poolBytes = 0
-	for _, t := range pool {
-		b.poolBytes += t.Size()
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-
-// Join is a windowed symmetric hash join on Key over two input ports. A
-// tuple arriving on one port joins with every retained tuple of the other
-// port that shares its key; matched pairs are emitted as a combined tuple.
-// Tuples older than Window ns are evicted on tick.
-type Join struct {
-	Base
-	Window  int64
-	Combine func(left, right *tuple.Tuple) *tuple.Tuple
-
-	sides [2]map[string][]*tuple.Tuple
-	bytes int64
-	clean bool // true while both sides match the last AppendSnapshot
-}
-
-// NewJoin returns a windowed equi-join.
-func NewJoin(name string, window int64, combine func(l, r *tuple.Tuple) *tuple.Tuple) *Join {
-	j := &Join{Base: Base{OpName: name}, Window: window, Combine: combine}
-	j.sides[0] = make(map[string][]*tuple.Tuple)
-	j.sides[1] = make(map[string][]*tuple.Tuple)
-	return j
-}
-
-// OnTuple joins t against the opposite side and retains it.
-func (j *Join) OnTuple(port int, t *tuple.Tuple, emit Emitter) error {
-	if port != 0 && port != 1 {
-		return errors.New("join: only ports 0 and 1 supported")
-	}
-	other := j.sides[1-port]
-	for _, o := range other[t.Key] {
-		var l, r = t, o
-		if port == 1 {
-			l, r = o, t
-		}
-		if out := j.Combine(l, r); out != nil {
-			emit(0, out)
-		}
-	}
-	j.sides[port][t.Key] = append(j.sides[port][t.Key], t)
-	j.bytes += t.Size()
-	j.clean = false
-	return nil
-}
-
-// OnTick evicts tuples older than the window.
-func (j *Join) OnTick(now int64, _ Emitter) error {
-	if j.Window <= 0 {
-		return nil
-	}
-	for s := range j.sides {
-		for k, list := range j.sides[s] {
-			kept := list[:0]
-			for _, t := range list {
-				if now-t.Ts < j.Window {
-					kept = append(kept, t)
-				} else {
-					j.bytes -= t.Size()
-					j.clean = false
-				}
-			}
-			if len(kept) == 0 {
-				delete(j.sides[s], k)
-			} else {
-				j.sides[s][k] = kept
-			}
-		}
-	}
-	return nil
-}
-
-// StateSize reports retained bytes on both sides.
-func (j *Join) StateSize() int64 { return j.bytes }
-
-// Snapshot serializes both sides.
-func (j *Join) Snapshot() ([]byte, error) {
-	return j.appendState(nil), nil
-}
-
-// AppendSnapshot implements IncrementalSnapshotter: a window with no
-// arrivals or evictions since the previous call encodes as zero bytes.
-func (j *Join) AppendSnapshot(buf []byte) ([]byte, bool, error) {
-	if j.clean {
-		return buf, false, nil
-	}
-	j.clean = true
-	return j.appendState(buf), true, nil
-}
-
-func (j *Join) appendState(buf []byte) []byte {
-	for s := 0; s < 2; s++ {
-		var all []*tuple.Tuple
-		for _, list := range j.sides[s] {
-			all = append(all, list...)
-		}
-		enc := tuple.MarshalMany(all)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
-	}
-	return buf
-}
-
-// Restore rebuilds both sides.
-func (j *Join) Restore(buf []byte) error {
-	j.clean = false
-	j.bytes = 0
-	for s := 0; s < 2; s++ {
-		j.sides[s] = make(map[string][]*tuple.Tuple)
-		if len(buf) < 4 {
-			return errors.New("join: short snapshot")
-		}
-		n := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if len(buf) < n {
-			return errors.New("join: truncated snapshot")
-		}
-		ts, err := tuple.UnmarshalMany(buf[:n])
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-		for _, t := range ts {
-			j.sides[s][t.Key] = append(j.sides[s][t.Key], t)
-			j.bytes += t.Size()
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 
 // Counter counts tuples per key — a simple stateful aggregate used in
 // tests and the quickstart example.

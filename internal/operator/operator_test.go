@@ -76,181 +76,6 @@ func TestPassthroughDefaultFanout(t *testing.T) {
 	}
 }
 
-func TestDispatchConsistentRouting(t *testing.T) {
-	d := NewDispatch("d", 4)
-	c := newCapture()
-	for i := 0; i < 20; i++ {
-		d.OnTuple(0, mk(uint64(i), "same-key"), c.emit)
-	}
-	// All same-key tuples land on one port.
-	ports := 0
-	for _, ts := range c.byPort {
-		if len(ts) > 0 {
-			ports++
-		}
-	}
-	if ports != 1 {
-		t.Fatalf("same key split over %d ports", ports)
-	}
-}
-
-func TestDispatchSpreadsKeys(t *testing.T) {
-	d := NewDispatch("d", 4)
-	c := newCapture()
-	for i := 0; i < 200; i++ {
-		d.OnTuple(0, mk(uint64(i), "key"+itoa(i)), c.emit)
-	}
-	for port := 0; port < 4; port++ {
-		if len(c.byPort[port]) == 0 {
-			t.Fatalf("port %d starved", port)
-		}
-	}
-}
-
-func TestBatcherFlushBySize(t *testing.T) {
-	var flushed [][]*tuple.Tuple
-	b := NewBatcher("b", 3, 0, func(batch []*tuple.Tuple, _ Emitter) {
-		flushed = append(flushed, batch)
-	})
-	for i := 0; i < 7; i++ {
-		b.OnTuple(0, mk(uint64(i), "k"), nil)
-	}
-	if len(flushed) != 2 {
-		t.Fatalf("flushes = %d, want 2", len(flushed))
-	}
-	if b.PoolLen() != 1 {
-		t.Fatalf("residual pool = %d, want 1", b.PoolLen())
-	}
-}
-
-func TestBatcherFlushByAge(t *testing.T) {
-	var flushed int
-	b := NewBatcher("b", 0, 100, func([]*tuple.Tuple, Emitter) { flushed++ })
-	tp := mk(1, "k")
-	tp.Ts = 1000
-	b.OnTuple(0, tp, nil)
-	b.OnTick(1050, nil) // age 50 < 100
-	if flushed != 0 {
-		t.Fatal("flushed too early")
-	}
-	b.OnTick(1100, nil)
-	if flushed != 1 {
-		t.Fatal("did not flush at max age")
-	}
-	b.OnTick(1200, nil) // empty pool: no flush
-	if flushed != 1 {
-		t.Fatal("flushed empty pool")
-	}
-}
-
-func TestBatcherStateSizeSawtooth(t *testing.T) {
-	b := NewBatcher("b", 5, 0, func([]*tuple.Tuple, Emitter) {})
-	var sizes []int64
-	for i := 0; i < 10; i++ {
-		b.OnTuple(0, mk(uint64(i), "k"), nil)
-		sizes = append(sizes, b.StateSize())
-	}
-	// Size grows then drops to 0 at each flush (i=4 and i=9).
-	if sizes[3] == 0 || sizes[4] != 0 || sizes[8] == 0 || sizes[9] != 0 {
-		t.Fatalf("sawtooth broken: %v", sizes)
-	}
-}
-
-func TestBatcherSnapshotRestore(t *testing.T) {
-	mkB := func() *Batcher { return NewBatcher("b", 100, 0, func([]*tuple.Tuple, Emitter) {}) }
-	b := mkB()
-	for i := 0; i < 5; i++ {
-		b.OnTuple(0, mk(uint64(i), "k"), nil)
-	}
-	snap, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := mkB()
-	if err := b2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if b2.PoolLen() != 5 || b2.StateSize() != b.StateSize() {
-		t.Fatalf("restored pool=%d size=%d, want 5/%d", b2.PoolLen(), b2.StateSize(), b.StateSize())
-	}
-	if err := b2.Restore([]byte{1}); err == nil {
-		t.Fatal("short snapshot accepted")
-	}
-}
-
-func TestJoinMatchesByKey(t *testing.T) {
-	j := NewJoin("j", 0, func(l, r *tuple.Tuple) *tuple.Tuple {
-		out := l.Clone()
-		out.Data = append(out.Data, r.Data...)
-		return out
-	})
-	c := newCapture()
-	j.OnTuple(0, mk(1, "a"), c.emit)
-	j.OnTuple(1, mk(2, "b"), c.emit) // no match
-	if c.total() != 0 {
-		t.Fatal("unmatched keys joined")
-	}
-	j.OnTuple(1, mk(3, "a"), c.emit) // matches tuple 1
-	if c.total() != 1 {
-		t.Fatalf("join emitted %d, want 1", c.total())
-	}
-	j.OnTuple(0, mk(4, "a"), c.emit) // matches tuple 3
-	if c.total() != 2 {
-		t.Fatalf("join emitted %d, want 2", c.total())
-	}
-}
-
-func TestJoinBadPort(t *testing.T) {
-	j := NewJoin("j", 0, func(l, r *tuple.Tuple) *tuple.Tuple { return l })
-	if err := j.OnTuple(2, mk(1, "a"), nil); err == nil {
-		t.Fatal("port 2 accepted")
-	}
-}
-
-func TestJoinWindowEviction(t *testing.T) {
-	j := NewJoin("j", 100, func(l, r *tuple.Tuple) *tuple.Tuple { return l.Clone() })
-	old := mk(1, "a")
-	old.Ts = 1000
-	j.OnTuple(0, old, nil)
-	if j.StateSize() == 0 {
-		t.Fatal("retained tuple has no state")
-	}
-	j.OnTick(2000, nil) // age 1000 > window 100
-	if j.StateSize() != 0 {
-		t.Fatal("expired tuple not evicted")
-	}
-	c := newCapture()
-	fresh := mk(2, "a")
-	fresh.Ts = 2000
-	j.OnTuple(1, fresh, c.emit)
-	if c.total() != 0 {
-		t.Fatal("joined against evicted tuple")
-	}
-}
-
-func TestJoinSnapshotRestore(t *testing.T) {
-	combine := func(l, r *tuple.Tuple) *tuple.Tuple { return l.Clone() }
-	j := NewJoin("j", 0, combine)
-	j.OnTuple(0, mk(1, "a"), nil)
-	j.OnTuple(1, mk(2, "z"), nil)
-	snap, err := j.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2 := NewJoin("j", 0, combine)
-	if err := j2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if j2.StateSize() != j.StateSize() {
-		t.Fatalf("restored size %d != %d", j2.StateSize(), j.StateSize())
-	}
-	c := newCapture()
-	j2.OnTuple(1, mk(3, "a"), c.emit)
-	if c.total() != 1 {
-		t.Fatal("restored join lost left side")
-	}
-}
-
 func TestCounterCountsAndSurvivesRestore(t *testing.T) {
 	cnt := NewCounter("c")
 	c := newCapture()
@@ -280,10 +105,11 @@ func TestSlotWeightsReflectKeyedState(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cnt.OnTuple(0, mk(uint64(i), "hotkey"), c.emit)
 	}
-	w, err := SlotWeights(cnt)
+	snap, err := cnt.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := partition.SlotBytes(snap)
 	if len(w) != partition.DefaultSlots {
 		t.Fatalf("got %d slot weights, want %d", len(w), partition.DefaultSlots)
 	}
@@ -325,28 +151,6 @@ func TestQuickCounterRoundTrip(t *testing.T) {
 			return false
 		}
 		return cnt2.Total() == cnt.Total() && cnt2.StateSize() == cnt.StateSize()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Batcher snapshot/restore preserves pool contents exactly.
-func TestQuickBatcherRoundTrip(t *testing.T) {
-	f := func(n uint8) bool {
-		b := NewBatcher("b", 1000, 0, nil)
-		for i := 0; i < int(n%60); i++ {
-			b.OnTuple(0, mk(uint64(i), "k"+itoa(i)), nil)
-		}
-		snap, err := b.Snapshot()
-		if err != nil {
-			return false
-		}
-		b2 := NewBatcher("b", 1000, 0, nil)
-		if err := b2.Restore(snap); err != nil {
-			return false
-		}
-		return b2.PoolLen() == b.PoolLen() && b2.StateSize() == b.StateSize()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

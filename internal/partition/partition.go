@@ -30,9 +30,8 @@ import (
 // many more shards than any realistic replica count.
 const DefaultSlots = 256
 
-// SlotOf maps a tuple key onto the slot ring with FNV-1a — the same hash
-// the operator library's Dispatch uses, so routing is deterministic across
-// processes and replays.
+// SlotOf maps a tuple key onto the slot ring with FNV-1a, so routing is
+// deterministic across processes and replays.
 func SlotOf(key string, slots int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {

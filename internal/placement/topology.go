@@ -48,20 +48,3 @@ func (t Topology) RackOf(node int) int {
 	}
 	return node / t.NodesPerRack
 }
-
-// RackNodes returns the node indices of one rack.
-func (t Topology) RackNodes(rack int) []int {
-	start := rack * t.NodesPerRack
-	if start >= t.Nodes {
-		return nil
-	}
-	end := start + t.NodesPerRack
-	if end > t.Nodes {
-		end = t.Nodes
-	}
-	out := make([]int, 0, end-start)
-	for n := start; n < end; n++ {
-		out = append(out, n)
-	}
-	return out
-}

@@ -21,26 +21,26 @@ import (
 // snapshots in chain order. An unaligned checkpoint appends one optional
 // channel-state section (storage.ChannelSectionMagic) after the operator
 // sections, carrying the in-flight tuples logged while ports sealed.
-// The runtime section layout (shared with v1):
+// The runtime section layout:
 //
 //	u32 nOut;  nOut  x u64 outSeq
 //	u32 nIn;   nIn   x u64 lastInSeq
 //	nIn x { u32 nSrc; nSrc x { u16 len, src, u64 id } }  per-source IDs
 //	u64 localEpoch
 //	u32 nRetained; per retained: u32 port, u32 len, tuple bytes
-//	u32 nLabels;  nLabels x { u16 len, upstream id }   (v2 only, optional)
+//	u32 nLabels;  nLabels x { u16 len, upstream id }   (optional)
 //
 // The retained tuples are the in-flight tuples "between the incoming and
 // the output tokens" (§III-B) that recovery must re-send downstream. The
 // trailing label block names each input port's upstream incarnation
 // (Edge.From) so restore can match ports by upstream identity when the
-// HAU's input geometry changed across a rescale. It exists only inside a
-// v2 section (which is length-delimited); the v1 decoder must not look for
-// it because v1 runs straight into the operator data.
+// HAU's input geometry changed across a rescale; the section is
+// length-delimited, so restore finds the block by the bytes left after the
+// retained tuples.
 //
-// A version-1 blob has no header: the runtime section is followed directly
-// by u32 nOps and length-prefixed operator snapshots. RestoreFrom decodes
-// both; the first u32 (magic vs out-port count) tells them apart.
+// RestoreFrom rejects any blob that does not begin with the magic. Every
+// writer emits this layout and the checkpoint stores live only as long as
+// the process, so no older layout can reach it.
 
 var errShortSnapshot = errors.New("spe: short HAU snapshot")
 
@@ -79,8 +79,8 @@ func (h *HAU) appendRuntimeState(buf []byte) []byte {
 	return buf
 }
 
-// appendInLabels encodes the input-port label block. Only v2 writers call
-// it: a v1 blob has no room for trailing data in its runtime section.
+// appendInLabels encodes the input-port label block that ends the runtime
+// section.
 func (h *HAU) appendInLabels(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(h.inFrom)))
 	for _, from := range h.inFrom {
@@ -161,9 +161,9 @@ func (h *HAU) encodeState() ([]byte, error) {
 	return blob, nil
 }
 
-// RestoreFrom rebuilds the HAU from a checkpoint blob (either layout
-// version). Must be called before Start. Retained in-flight tuples are
-// queued for re-emission when the loop starts.
+// RestoreFrom rebuilds the HAU from a version-2 checkpoint blob. Must be
+// called before Start. Retained in-flight tuples are queued for
+// re-emission when the loop starts.
 func (h *HAU) RestoreFrom(blob []byte) error {
 	r := reader{buf: blob}
 	first, err := r.u32()
@@ -171,7 +171,7 @@ func (h *HAU) RestoreFrom(blob []byte) error {
 		return err
 	}
 	if first != snapshotMagic {
-		return h.restoreV1(blob)
+		return fmt.Errorf("spe: snapshot has no section-table header (first word %#x, want %#x)", first, snapshotMagic)
 	}
 	nSec, err := r.u32()
 	if err != nil {
@@ -199,7 +199,7 @@ func (h *HAU) RestoreFrom(blob []byte) error {
 		return fmt.Errorf("%w: section table wants %d payload bytes, have %d", errShortSnapshot, total, len(r.buf))
 	}
 	rt := reader{buf: r.buf[:lens[0]]}
-	if err := h.restoreRuntime(&rt, true); err != nil {
+	if err := h.restoreRuntime(&rt); err != nil {
 		return err
 	}
 	if len(rt.buf) != 0 {
@@ -264,41 +264,12 @@ func (h *HAU) restoreChannelState(sec []byte) error {
 	return nil
 }
 
-// restoreV1 decodes the headerless version-1 layout: runtime section, then
-// u32 nOps and length-prefixed operator snapshots.
-func (h *HAU) restoreV1(blob []byte) error {
-	r := reader{buf: blob}
-	if err := h.restoreRuntime(&r, false); err != nil {
-		return err
-	}
-	nOps, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if int(nOps) != len(h.cfg.Ops) {
-		return fmt.Errorf("spe: snapshot has %d ops, HAU has %d", nOps, len(h.cfg.Ops))
-	}
-	for _, op := range h.cfg.Ops {
-		snap, err := r.bytes()
-		if err != nil {
-			return err
-		}
-		if len(snap) == 0 {
-			snap = nil
-		}
-		if err := op.Restore(snap); err != nil {
-			return fmt.Errorf("spe: restore of %s: %w", op.Name(), err)
-		}
-	}
-	return nil
-}
-
-// restoreRuntime decodes the runtime section from r. labeled marks a v2
-// section, which may end with an input-port label block; when it does and
-// the blob's input geometry differs from the HAU's, ports are matched by
-// upstream label instead of position — a replica restoring a carved blob
-// has fresh input edges the base never had, and vice versa after a merge.
-func (h *HAU) restoreRuntime(r *reader, labeled bool) error {
+// restoreRuntime decodes the runtime section from r. The section may end
+// with an input-port label block; when it does and the blob's input
+// geometry differs from the HAU's, ports are matched by upstream label
+// instead of position — a replica restoring a carved blob has fresh input
+// edges the base never had, and vice versa after a merge.
+func (h *HAU) restoreRuntime(r *reader) error {
 	nOut, err := r.u32()
 	if err != nil {
 		return err
@@ -365,7 +336,7 @@ func (h *HAU) restoreRuntime(r *reader, labeled bool) error {
 	}
 	var labels []string
 	labelsPresent := false
-	if labeled && len(r.buf) > 0 {
+	if len(r.buf) > 0 {
 		nLab, err := r.u32()
 		if err != nil {
 			return err

@@ -21,11 +21,11 @@ func appendBlobSection(blob, sec []byte) []byte {
 	return append(out, sec...)
 }
 
-// FuzzRestoreFrom throws arbitrary bytes at the snapshot decoder. Both
-// layout versions share the entry point, so the corpus seeds one valid blob
-// of each plus a few near-misses. The decoder may reject anything, but it
-// must never panic, and anything it accepts must re-encode (as v2) and
-// restore again with the same runtime counters.
+// FuzzRestoreFrom throws arbitrary bytes at the snapshot decoder. The
+// corpus seeds one valid blob, a blob in the retired headerless layout
+// (which must be rejected) and a few near-misses. The decoder may reject
+// anything, but it must never panic, and anything it accepts must
+// re-encode and restore again with the same runtime counters.
 func FuzzRestoreFrom(f *testing.F) {
 	src := mkRestorable(f)
 	src.outSeq[0] = 5
@@ -37,7 +37,8 @@ func FuzzRestoreFrom(f *testing.F) {
 		f.Fatal(src.Err())
 	}
 
-	// A v1 blob: runtime section, op count, length-prefixed op snapshot.
+	// The retired headerless layout: runtime section, op count,
+	// length-prefixed op snapshot.
 	v1 := src.appendRuntimeState(nil)
 	opSnap, err := src.cfg.Ops[0].Snapshot()
 	if err != nil {
@@ -46,6 +47,9 @@ func FuzzRestoreFrom(f *testing.F) {
 	v1 = binary.LittleEndian.AppendUint32(v1, 1)
 	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(opSnap)))
 	v1 = append(v1, opSnap...)
+	if err := mkRestorable(f).RestoreFrom(v1); err == nil {
+		f.Fatal("headerless blob accepted")
+	}
 
 	f.Add(v2)
 	f.Add(v1)

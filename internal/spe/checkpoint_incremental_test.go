@@ -146,10 +146,11 @@ func TestPooledSectionAliasing(t *testing.T) {
 	}
 }
 
-// TestV1BlobRoundTrip hand-encodes a version-1 (headerless) blob, restores
-// it, re-snapshots as v2, and restores that — the property v1 readers rely
-// on across the format migration.
-func TestV1BlobRoundTrip(t *testing.T) {
+// TestRestoreFromRejectsHeaderlessBlob hand-encodes the retired
+// headerless layout (runtime section, u32 nOps, length-prefixed operator
+// snapshots). RestoreFrom decodes only the section-table layout, so it must
+// return an error rather than read the blob some other way.
+func TestRestoreFromRejectsHeaderlessBlob(t *testing.T) {
 	src := mkRestorable(t)
 	src.outSeq[0] = 11
 	src.lastInSeq[0] = 7
@@ -163,43 +164,16 @@ func TestV1BlobRoundTrip(t *testing.T) {
 		}
 	}
 
-	// v1 layout: runtime section, u32 nOps, length-prefixed op snapshots.
-	v1 := src.appendRuntimeState(nil)
+	blob := src.appendRuntimeState(nil)
 	opSnap, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 = binary.LittleEndian.AppendUint32(v1, 1)
-	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(opSnap)))
-	v1 = append(v1, opSnap...)
+	blob = binary.LittleEndian.AppendUint32(blob, 1)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(opSnap)))
+	blob = append(blob, opSnap...)
 
-	check := func(h *HAU, stage string) {
-		t.Helper()
-		if h.outSeq[0] != 11 || h.lastInSeq[0] != 7 || h.lastSrcID[0]["S"] != 42 || h.localEpoch != 3 {
-			t.Fatalf("%s: runtime state mismatch: %+v", stage, h)
-		}
-		hc := h.cfg.Ops[0].(*operator.Counter)
-		if hc.Count("x") != 2 || hc.Count("y") != 1 {
-			t.Fatalf("%s: counts x=%d y=%d", stage, hc.Count("x"), hc.Count("y"))
-		}
+	if err := mkRestorable(t).RestoreFrom(blob); err == nil {
+		t.Fatal("headerless blob accepted")
 	}
-
-	h1 := mkRestorable(t)
-	if err := h1.RestoreFrom(v1); err != nil {
-		t.Fatal(err)
-	}
-	check(h1, "v1 restore")
-
-	v2 := h1.SnapshotNow()
-	if v2 == nil {
-		t.Fatal(h1.Err())
-	}
-	if binary.LittleEndian.Uint32(v2) != snapshotMagic {
-		t.Fatal("re-snapshot is not version 2")
-	}
-	h2 := mkRestorable(t)
-	if err := h2.RestoreFrom(v2); err != nil {
-		t.Fatal(err)
-	}
-	check(h2, "v2 restore")
 }

@@ -213,15 +213,6 @@ func (b CheckpointBreakdown) Total() time.Duration {
 	return b.TokenWait + b.Serialize + b.Flatten + b.Diff + b.DiskIO
 }
 
-// Freeze returns the time the HAU loop was unable to process tuples for
-// this checkpoint, excluding token alignment.
-func (b CheckpointBreakdown) Freeze() time.Duration {
-	if b.Async {
-		return b.Serialize
-	}
-	return b.Serialize + b.Flatten + b.Diff + b.DiskIO
-}
-
 // Listener receives HAU events. The controller implements it; tests use
 // stubs. Callbacks run on HAU or writer goroutines and must not block for
 // long.

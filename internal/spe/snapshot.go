@@ -6,9 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// snapshotMagic marks a version-2 section-table checkpoint blob. A v1 blob
-// begins with the HAU's out-port count, which is always tiny, so the first
-// u32 distinguishes the layouts unambiguously.
+// snapshotMagic marks a version-2 section-table checkpoint blob, the only
+// layout RestoreFrom accepts.
 const snapshotMagic uint32 = 0x4d535632 // "MSV2"
 
 // sectionBuf is a reference-counted encode buffer holding one section of a

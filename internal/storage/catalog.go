@@ -58,17 +58,6 @@ func (c *Catalog) SetMembers(members []string) {
 	c.mu.Unlock()
 }
 
-// Members returns the current member ids (unordered).
-func (c *Catalog) Members() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.members))
-	for id := range c.members {
-		out = append(out, id)
-	}
-	return out
-}
-
 func stateKey(epoch uint64, hau string) string {
 	return fmt.Sprintf("ckpt/%016d/%s", epoch, hau)
 }

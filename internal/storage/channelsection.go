@@ -61,7 +61,8 @@ func EncodeChannelSection(streams []ChannelStream) []byte {
 
 // DecodeChannelSection parses a section produced by EncodeChannelSection.
 // It rejects anything that does not carry the channel magic — in
-// particular v1 blobs and operator sections — with a clear error.
+// particular whole checkpoint blobs and operator sections — with a clear
+// error.
 func DecodeChannelSection(b []byte) ([]ChannelStream, error) {
 	if len(b) < 8 {
 		return nil, fmt.Errorf("storage: channel section too short (%d bytes)", len(b))

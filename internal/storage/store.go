@@ -45,13 +45,6 @@ func (s *Store) SetDown(down bool) {
 	s.mu.Unlock()
 }
 
-// Down reports the availability flag.
-func (s *Store) Down() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.down
-}
-
 // Put stores a copy of data under key, charging disk write cost, and
 // returns the modelled duration of the write. The caller keeps ownership of
 // data and may mutate it afterwards.
